@@ -57,12 +57,13 @@ from repro.datasets import EventTweet, build_dataset
 from repro.embeddings import PretrainedEmbeddings
 from repro.nn import build_paper_network, one_hot
 from repro.serving import (
+    FleetConfig,
+    FleetService,
     HTTPServingClient,
     ModelRegistry,
     ServingClient,
     ServingConfig,
     ServingServer,
-    ServingService,
     save_artifact,
 )
 
@@ -374,8 +375,6 @@ def run_shaped(
     fleet — the CI fleet-smoke job runs this with ``--shape flashcrowd``
     to prove shedding engages under burst and recovers after.
     """
-    from repro.serving import FleetConfig, FleetService
-
     times = arrival_times(shape, duration_s, mean_rps, seed)
     with tempfile.TemporaryDirectory(prefix="serving-loadgen-") as scratch:
         if artifact_dir is None:
@@ -419,10 +418,10 @@ def run_one_config(
     duration_s: float,
     transport: str,
 ) -> Dict[str, object]:
-    """One measured run of one serving configuration."""
+    """One measured run of one serving configuration on one replica."""
     registry = ModelRegistry()
     registry.load(artifact_dir)
-    service = ServingService(registry, serving_config)
+    service = FleetService(registry, serving_config, FleetConfig(replicas=1))
     server = None
     try:
         if transport == "http":
@@ -432,8 +431,9 @@ def run_one_config(
             client = ServingClient(service)
         result = _drive(client, pool, n_threads, duration_s)
         metrics = service.metrics()
-        result["mean_batch_size"] = metrics["scheduler"]["mean_batch_size"]
-        result["batches"] = metrics["scheduler"]["batches"]
+        scheduler = metrics["schedulers"][0]
+        result["mean_batch_size"] = scheduler["mean_batch_size"]
+        result["batches"] = scheduler["batches"]
         result["cache"] = metrics["cache"]["documents"]
         result["cache_hit_rate"] = metrics["cache_hit_rate"]
     finally:

@@ -4,9 +4,9 @@
 The paper's system refreshes its corpora every 2 hours and retrains from
 checkpoints so models stay current without full retraining.  This example
 simulates that loop: the deployment starts with a 60% backlog of the
-5-month world, then takes refresh steps, re-running the pipeline on the
-grown corpus and warm-starting the audience-interest model from the
-previous cycle's weights.
+5-month world, then takes refresh steps, folding each step's new
+documents into an incremental pipeline and warm-starting the
+audience-interest model from the previous cycle's weights.
 
     python examples/continuous_deployment.py
 """

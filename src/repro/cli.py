@@ -19,7 +19,6 @@ stage.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -242,7 +241,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ModelRegistry,
         ServingConfig,
         ServingServer,
-        ServingService,
     )
 
     try:
@@ -275,22 +273,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.check_only:
         print("artifact OK (--check-only; not binding a server)")
         return 0
-    # Fleet mode is opt-in: --fleet, an explicit --replicas, or the
-    # REPRO_SERVE_REPLICAS env var.  A bare `repro serve` keeps the
-    # single-worker service it always ran.
-    fleet_requested = (
-        args.fleet
-        or args.replicas is not None
-        or bool(os.environ.get("REPRO_SERVE_REPLICAS"))
+    service = FleetService(registry, config, fleet_config)
+    print(
+        f"fleet of {fleet_config.replicas} replicas "
+        f"(router {fleet_config.router!r}; canary endpoints enabled)"
     )
-    if fleet_requested:
-        service = FleetService(registry, config, fleet_config)
-        print(
-            f"fleet of {fleet_config.replicas} replicas "
-            f"(router {fleet_config.router!r}; canary endpoints enabled)"
-        )
-    else:
-        service = ServingService(registry, config)
     server = ServingServer(service, host=config.host, port=config.port)
     host, port = server.address
     print(
@@ -447,20 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas",
         type=int,
         default=None,
-        help="replica count; >1 serves through the fleet "
-        "(default: REPRO_SERVE_REPLICAS or 2, fleet mode only)",
+        help="fleet replica count (default: REPRO_SERVE_REPLICAS or 2)",
     )
     serve.add_argument(
         "--router",
         choices=("round_robin", "least_loaded"),
         default=None,
         help="fleet routing policy (default: REPRO_SERVE_ROUTER or least_loaded)",
-    )
-    serve.add_argument(
-        "--fleet",
-        action="store_true",
-        help="force fleet mode (admission control + canary endpoints) "
-        "even with --replicas 1",
     )
     serve.add_argument(
         "--check-only",

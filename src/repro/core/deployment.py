@@ -6,9 +6,10 @@ scratch", and checkpoints "alleviate the need to train the neural models
 each time the datasets are updated".
 
 :class:`DeploymentSimulator` replays that loop over a generated world:
-each cycle reveals the documents created up to a moving cutoff, runs the
-full pipeline on the visible slice, and (re)trains the audience-interest
-model — warm-starting from the previous cycle's weights when available.
+each cycle appends the documents created since the previous cutoff to a
+:class:`repro.streaming.IncrementalPipeline`, folds them in O(new data),
+and (re)trains the audience-interest model — warm-starting from the
+previous cycle's weights when available.
 The per-cycle reports let callers verify the §4.9 claim that warm starts
 converge in fewer epochs than cold starts.
 """
@@ -33,7 +34,6 @@ from ..resilience import faults
 from ..resilience.checkpoint import atomic_write, config_fingerprint
 from ..store import Database
 from .config import PipelineConfig
-from .pipeline import NewsDiffusionPipeline
 from .prediction import N_CLASSES
 
 DEPLOY_STATE_VERSION = 1
@@ -157,23 +157,6 @@ def _cycle_from_json(data: dict) -> CycleReport:
     return CycleReport(**data)
 
 
-def _visible_world(world: World, cutoff: datetime) -> World:
-    """The sub-world of documents created up to *cutoff*."""
-    # Inherit the source world's shard count so refresh cycles exercise
-    # the same partitioning as the full corpus.
-    database = Database("visible", shard_count=world.database.shard_count)
-    for name in ("news", "tweets"):
-        source = world.database[name]
-        for doc in source.find({"created_at": {"$lte": cutoff}}):
-            doc.pop("_id", None)
-            database[name].insert_one(doc)
-    return World(
-        config=world.config,
-        database=database,
-        population=world.population,
-    )
-
-
 class DeploymentSimulator:
     """Replays the paper's periodic refresh loop over a world."""
 
@@ -184,8 +167,6 @@ class DeploymentSimulator:
         variant: str = "A2",
         network: str = "MLP 1",
         target: str = "likes",
-        incremental: bool = False,
-        streaming=None,
     ) -> None:
         if refresh <= timedelta(0):
             raise ValueError("refresh interval must be positive")
@@ -194,15 +175,6 @@ class DeploymentSimulator:
         self.variant = variant
         self.network = network
         self.target = target
-        # incremental=True replaces the per-cycle visible-world copy +
-        # full pipeline rerun with a repro.streaming.IncrementalPipeline
-        # fed through a watermarked IngestSession: each refresh appends
-        # only the documents that became visible since the last cutoff
-        # and folds them in O(new data).  *streaming* is an optional
-        # repro.streaming.StreamingConfig selecting the exact or fast
-        # incremental variants.
-        self.incremental = incremental
-        self.streaming = streaming
 
     # -- deployment state persistence ---------------------------------------
 
@@ -214,7 +186,6 @@ class DeploymentSimulator:
                 f"deploy:{self.variant}:{self.network}:{self.target}:"
                 f"{self.refresh.total_seconds()}:{len(world.news)}:"
                 f"{len(world.tweets)}"
-                + (":incremental" if self.incremental else "")
             ),
         )
 
@@ -335,9 +306,9 @@ class DeploymentSimulator:
         """Append the documents revealed in ``(previous_cutoff, cutoff]``.
 
         Source documents are stored in ``created_at`` order, so the fed
-        stream arrives time-sorted — exactly what :func:`_visible_world`
-        hands the batch pipeline, which keeps incremental cycles
-        comparable to batch cycles at every cutoff.
+        stream arrives time-sorted: after each feed the incremental
+        pipeline holds exactly the documents created up to *cutoff*, in
+        the order a batch run over that slice would see them.
         """
         fed = 0
         for name, append in (
@@ -385,22 +356,17 @@ class DeploymentSimulator:
         if not 0.0 < start_fraction <= 1.0:
             raise ValueError("start_fraction must lie in (0, 1]")
         serve_dir = self._serve_dir(serve, checkpoint_dir)
-        pipeline = NewsDiffusionPipeline(self.config)
-        incremental = None
-        previous_cutoff: Optional[datetime] = None
-        if self.incremental:
-            # Imported lazily: repro.streaming imports repro.core, so a
-            # top-level import here would be circular.
-            from ..streaming import IncrementalPipeline
+        # Imported lazily: repro.streaming imports repro.core, so a
+        # top-level import here would be circular.
+        from ..streaming import IncrementalPipeline
 
-            incremental = IncrementalPipeline(
-                self.config,
-                self.streaming,
-                database=Database(
-                    "streaming-deploy",
-                    shard_count=world.database.shard_count,
-                ),
-            )
+        incremental = IncrementalPipeline(
+            self.config,
+            database=Database(
+                "streaming-deploy", shard_count=world.database.shard_count
+            ),
+        )
+        previous_cutoff: Optional[datetime] = None
         report = DeploymentReport()
         total = world.config.end - world.config.start
         cutoff = world.config.start + total * start_fraction
@@ -423,20 +389,12 @@ class DeploymentSimulator:
                 cycle_span.annotate(cycle=cycle)
                 faults.inject("deployment.cycle")
                 started = time.perf_counter()
-                if incremental is not None:
-                    n_fed = self._feed_incremental(
-                        incremental, world, previous_cutoff, cutoff
-                    )
-                    cycle_span.annotate(n_fed=n_fed)
-                    previous_cutoff = cutoff
-                    result = incremental.cycle()
-                    n_articles = len(incremental.news_ed)
-                    n_tweets = len(incremental.twitter_ed)
-                else:
-                    visible = _visible_world(world, cutoff)
-                    result = pipeline.run(visible)
-                    n_articles = len(visible.news)
-                    n_tweets = len(visible.tweets)
+                n_fed = self._feed_incremental(
+                    incremental, world, previous_cutoff, cutoff
+                )
+                cycle_span.annotate(n_fed=n_fed)
+                previous_cutoff = cutoff
+                result = incremental.cycle()
 
                 trained = False
                 warm = False
@@ -493,8 +451,8 @@ class DeploymentSimulator:
                     CycleReport(
                         cycle=cycle,
                         cutoff=cutoff,
-                        n_articles=n_articles,
-                        n_tweets=n_tweets,
+                        n_articles=len(incremental.news_ed),
+                        n_tweets=len(incremental.twitter_ed),
                         n_trending=len(result.trending),
                         n_pairs=result.correlation.n_pairs,
                         n_event_tweets=len(records),

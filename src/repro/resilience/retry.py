@@ -147,9 +147,9 @@ class RetryPolicy:
         letting callers bump obs counters or annotate spans.  *sleep* is
         injectable so tests run with zero wall-clock cost.
         """
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(_site_entropy(site),))
-        )
+        # Built on the first failure only: seeding a generator costs more
+        # than a fast successful attempt, and only backoff draws from it.
+        rng: Optional[np.random.Generator] = None
         last: Optional[BaseException] = None
         for attempt in range(1, self.max_attempts + 1):
             try:
@@ -160,6 +160,12 @@ class RetryPolicy:
                 last = exc
                 if attempt >= self.max_attempts:
                     break
+                if rng is None:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(
+                            entropy=self.seed, spawn_key=(_site_entropy(site),)
+                        )
+                    )
                 delay = self.delay_s(attempt, rng)
                 if on_retry is not None:
                     on_retry(attempt, exc, delay)

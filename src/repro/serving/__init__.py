@@ -11,15 +11,15 @@ pipeline artifact into that online service (see ``docs/serving.md``):
   per-request deadlines as typed :class:`ServingError`\\ s);
 * :class:`FeatureCache` — LRU cache keyed on (model version,
   token-hash) for document vectors and metadata encodings;
-* :class:`ServingService` + :class:`ServingClient` (in-process) and
-  :class:`ServingServer` + :class:`HTTPServingClient` (stdlib
-  ``http.server`` JSON endpoints ``/predict`` ``/healthz`` ``/metrics``
-  ``/swap`` ``/canary``), driven by ``python -m repro serve``;
-* :class:`FleetService` — a replica pool behind a pluggable
+* :class:`FleetService` — the online service: a replica pool (one
+  replica is the single-worker case) behind a pluggable
   :class:`Router` with :class:`AdmissionController` load shedding and
   :class:`CanaryController` canary/shadow deployments (see
-  ``docs/fleet.md``), sharing the exact encode/score path with the
-  single-worker service.
+  ``docs/fleet.md``);
+* :class:`ServingClient` (in-process) and :class:`ServingServer` +
+  :class:`HTTPServingClient` (stdlib ``http.server`` JSON endpoints
+  ``/predict`` ``/healthz`` ``/metrics`` ``/swap`` ``/canary``), driven
+  by ``python -m repro serve``.
 
 Responses are **bitwise-identical** to offline
 ``Sequential.predict(X, batch_size=B, pad_to=B)`` outputs for the same
@@ -55,7 +55,6 @@ from .registry import ModelRegistry, ModelVersion
 from .requests import DEFAULT_CREATED_AT, PredictRequest, PredictResponse
 from .router import POLICIES, Router
 from .scheduler import BatchScheduler, PendingRequest
-from .service import ServingService
 
 __all__ = [
     "AdmissionConfig",
@@ -88,7 +87,6 @@ __all__ = [
     "ServingConfig",
     "ServingError",
     "ServingServer",
-    "ServingService",
     "ServingUnavailable",
     "SwapError",
     "TokenBucket",

@@ -1,8 +1,8 @@
 """Clients for the serving service: in-process and HTTP.
 
-:class:`ServingClient` drives a :class:`~repro.serving.service.ServingService`
-(or a :class:`~repro.serving.fleet.FleetService`) directly (no sockets) —
-the concurrency tests and the in-process load generator use it.
+:class:`ServingClient` drives a :class:`~repro.serving.fleet.FleetService`
+directly (no sockets) — the concurrency tests and the in-process load
+generator use it.
 :class:`HTTPServingClient` speaks the JSON contract of
 :mod:`repro.serving.httpd` over ``urllib`` and is what the CI smoke job
 exercises end to end.
@@ -37,8 +37,8 @@ from .errors import (
     ServingUnavailable,
     SwapError,
 )
+from .fleet import FleetService
 from .requests import PredictRequest, PredictResponse
-from .service import ServingService
 
 #: kind -> exception class, for rehydrating HTTP error bodies.
 _ERROR_KINDS = {
@@ -71,7 +71,7 @@ DEFAULT_HTTP_RETRY = RetryPolicy(
 class ServingClient:
     """In-process client: the test-facing face of a service."""
 
-    def __init__(self, service: ServingService) -> None:
+    def __init__(self, service: FleetService) -> None:
         self.service = service
 
     def predict(

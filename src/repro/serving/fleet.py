@@ -31,9 +31,14 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from .. import obs
+from ..datasets.builders import document_vector
+from ..datasets.encoding import encode_count
 from ..obs.metrics import Histogram
 from ..resilience import RetryError, RetryPolicy, faults
 from ..tools.annotations import guarded_by
@@ -50,7 +55,6 @@ from .registry import ModelRegistry, ModelVersion
 from .requests import PredictRequest, PredictResponse
 from .router import Router
 from .scheduler import BatchScheduler
-from .service import score_requests
 
 #: Tokens of the synthetic request routed through an ejected replica's
 #: full scheduler path to decide re-admission.
@@ -69,6 +73,83 @@ def traffic_split(seed: int, index: int, fraction: float) -> bool:
     digest = hashlib.sha256(f"{seed}:{index}".encode("utf-8")).digest()
     draw = int.from_bytes(digest[:8], "big") / 2**64
     return draw < fraction
+
+
+def _percentile(values: Sequence[float], q: float) -> float:
+    """q-th percentile of *values* (0.0 for an empty series)."""
+    if not values:
+        return 0.0
+    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
+
+
+def encode_request(
+    cache: FeatureCache, request: PredictRequest, version: ModelVersion
+) -> np.ndarray:
+    """One feature row, bitwise-equal to the offline dataset row.
+
+    Document vectors go through the per-version LRU cache; the
+    metadata/followers tail is tiny and recomputed [cached by
+    ``(followers, weekday)``] exactly like
+    :func:`repro.datasets.encode_record` builds it.
+    """
+    record = request.to_record()
+    key = cache.document_key(
+        version.version_id,
+        version.family,
+        request.tokens,
+        request.vocabulary,
+        request.magnitudes,
+    )
+    parts = [
+        cache.document_vector(
+            key,
+            lambda: document_vector(record, version.embeddings, version.family),
+        )
+    ]
+    if version.with_metadata:
+        parts.append(cache.metadata_vector(record.followers, record.created_at))
+    if version.with_followers:
+        parts.append(np.array([float(encode_count(record.followers))]))
+    row = np.concatenate(parts)
+    if row.shape[0] != version.input_dim:
+        raise BadRequest(
+            f"request encodes to {row.shape[0]} features but the model "
+            f"expects {version.input_dim} (wrong embedding dimension?)"
+        )
+    return row
+
+
+def score_requests(
+    cache: FeatureCache,
+    version: ModelVersion,
+    requests: Sequence[PredictRequest],
+    pad_to: int,
+    model,
+) -> List[PredictResponse]:
+    """Encode + score one micro-batch with a single padded forward pass.
+
+    *model* is the network to run (a replica's zero-copy view of
+    *version*'s weights).  The fixed ``pad_to`` row count keeps outputs
+    bitwise-independent of how requests were grouped into batches.
+    """
+    rows = [encode_request(cache, request, version) for request in requests]
+    X = np.vstack(rows) if rows else np.zeros((0, version.input_dim))
+    probabilities = model.predict(X, batch_size=pad_to, pad_to=pad_to)
+    labels = (
+        np.argmax(probabilities, axis=1)
+        if len(probabilities)
+        else np.zeros(0, dtype=int)
+    )
+    return [
+        PredictResponse(
+            probabilities=probabilities[i].tolist(),
+            label=int(labels[i]),
+            model_version=version.version_id,
+            fingerprint=version.fingerprint,
+            batch_rows=len(requests),
+        )
+        for i in range(len(requests))
+    ]
 
 
 @guarded_by("_lock", "served", "failed", "_consecutive_failures", "_ejected")
@@ -546,14 +627,20 @@ class CanaryController:
             }
 
 
-@guarded_by("_stats_lock", "_responses", "_errors", "_batch_latency_s")
+@guarded_by(
+    "_stats_lock",
+    "_responses",
+    "_errors",
+    "_swaps",
+    "_batch_latency_s",
+    "_latencies",
+)
 class FleetService:
     """A replica fleet behind admission control and canary deploys.
 
-    Drop-in superset of :class:`~repro.serving.service.ServingService`:
-    same ``predict/swap/healthz/metrics/close`` surface (so the HTTP
-    front-end serves either), plus ``canary_start/canary_status/
-    canary_abort`` and priority-aware admission.
+    The one online service: ``predict/swap/healthz/metrics/close`` plus
+    ``canary_start/canary_status/canary_abort`` and priority-aware
+    admission.  A fleet of one replica is the single-worker case.
     """
 
     def __init__(
@@ -596,6 +683,9 @@ class FleetService:
         self._errors = 0
         self._batch_latency_s: Optional[float] = None
         self._swaps = 0
+        #: The last 4096 client-visible latencies (``latency_ms`` in
+        #: :meth:`metrics`).
+        self._latencies: "deque[float]" = deque(maxlen=4096)
 
     # -- internals -----------------------------------------------------------
 
@@ -704,6 +794,7 @@ class FleetService:
             raise
         with self._stats_lock:
             self._responses += 1
+            self._latencies.append(response.latency_ms)
         obs.counter("serving.responses").inc()
         obs.histogram("serving.latency_ms").observe(response.latency_ms)
         return response
@@ -802,12 +893,14 @@ class FleetService:
         }
 
     def metrics(self) -> Dict[str, object]:
-        """Fleet-wide counters: admission, routing, canary, schedulers."""
+        """Fleet-wide counters: admission, routing, canary, schedulers,
+        and client-visible latency percentiles."""
         with self._stats_lock:
             responses = self._responses
             errors = self._errors
             swaps = self._swaps
             batch_latency = self._batch_latency_s
+            latencies = list(self._latencies)
         schedulers = [replica.scheduler.stats() for replica in self.replicas]
         return {
             "responses": responses,
@@ -821,6 +914,11 @@ class FleetService:
             "schedulers": schedulers,
             "cache": self.cache.stats(),
             "cache_hit_rate": self.cache.hit_rate,
+            "latency_ms": {
+                "p50": _percentile(latencies, 50),
+                "p95": _percentile(latencies, 95),
+                "p99": _percentile(latencies, 99),
+            },
         }
 
     def close(self) -> None:

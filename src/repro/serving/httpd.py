@@ -1,4 +1,4 @@
-"""stdlib ``http.server`` JSON front-end for the serving service.
+"""stdlib ``http.server`` JSON front-end for the serving fleet.
 
 Endpoints (see ``docs/serving.md`` for the full contract):
 
@@ -9,10 +9,6 @@ Endpoints (see ``docs/serving.md`` for the full contract):
     POST /canary        {"artifact": "<dir>", "mode": "canary"|"shadow", ...}
     GET  /canary        canary/shadow deployment status
     POST /canary/abort  roll back the active deployment
-
-The ``/canary`` endpoints need a fleet service
-(:class:`~repro.serving.fleet.FleetService`, ``--replicas > 1`` or
-``--fleet`` on the CLI); on a single-worker service they answer 400.
 
 Failures map to the :class:`~repro.serving.errors.ServingError`
 hierarchy's HTTP statuses with ``{"error": kind, "message": ...}``
@@ -28,8 +24,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from .errors import BadRequest, ServingError
+from .fleet import FleetService
 from .requests import PredictRequest
-from .service import ServingService
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB of JSON is plenty for one tweet
 
@@ -40,7 +36,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     @property
-    def service(self) -> ServingService:
+    def service(self) -> FleetService:
         """The service owned by the :class:`ServingServer`."""
         return self.server.service  # type: ignore[attr-defined]
 
@@ -80,16 +76,6 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(status, payload)
 
-    def _fleet_service(self):
-        """The service, if it supports canary deployments (else 400)."""
-        service = self.service
-        if not hasattr(service, "canary_start"):
-            raise BadRequest(
-                "canary deployments need a fleet service; restart with "
-                "--replicas > 1 (or --fleet)"
-            )
-        return service
-
     def do_GET(self) -> None:
         """GET /healthz, /metrics, and /canary."""
 
@@ -99,7 +85,7 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/metrics":
                 return 200, self.service.metrics()
             if self.path == "/canary":
-                return 200, self._fleet_service().canary_status()
+                return 200, self.service.canary_status()
             raise BadRequest(f"unknown path {self.path!r}")
 
         self._dispatch(handler)
@@ -137,7 +123,7 @@ class _Handler(BaseHTTPRequestHandler):
                 artifact = payload.get("artifact")
                 if not isinstance(artifact, str) or not artifact:
                     raise BadRequest("canary payload must carry an 'artifact' path")
-                return 200, self._fleet_service().canary_start(
+                return 200, self.service.canary_start(
                     artifact,
                     mode=payload.get("mode", "canary"),
                     fraction=payload.get("fraction"),
@@ -150,7 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
                 length = int(self.headers.get("Content-Length") or 0)
                 if 0 < length <= _MAX_BODY_BYTES:
                     self.rfile.read(length)
-                return 200, self._fleet_service().canary_abort()
+                return 200, self.service.canary_abort()
             raise BadRequest(f"unknown path {self.path!r}")
 
         self._dispatch(handler)
@@ -161,7 +147,7 @@ class ServingServer:
 
     def __init__(
         self,
-        service: ServingService,
+        service: FleetService,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:

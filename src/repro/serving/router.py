@@ -13,8 +13,10 @@ The router owns the *which replica serves this request* decision for a
   simply stops selecting it;
 * **re-admission** — after every ``probe_after`` routed requests, the
   router sends one synthetic probe through an ejected replica's full
-  scheduler path; a healthy answer re-admits it.  Counted, not timed,
-  so ejection/re-admission sequences are reproducible in tests.
+  scheduler path; a healthy answer re-admits it.  A request refused
+  because every replica is ejected spends the budget too, so a dead
+  pool probes its way back.  Counted, not timed, so
+  ejection/re-admission sequences are reproducible in tests.
 
 Counters: ``serving.fleet.router.routed`` / ``.ejections`` /
 ``.readmissions`` / ``.probes``.
@@ -56,7 +58,15 @@ POLICIES: Dict[str, PolicyFn] = {
 }
 
 
-@guarded_by("_lock", "_rotation", "_routed", "_probe_marks", "_probing", "routed_per_replica")
+@guarded_by(
+    "_lock",
+    "_rotation",
+    "_routed",
+    "_dead_routes",
+    "_probe_marks",
+    "_probing",
+    "routed_per_replica",
+)
 class Router:
     """Routes requests across a replica pool, probing ejected members."""
 
@@ -82,7 +92,9 @@ class Router:
         self._lock = threading.Lock()
         self._rotation = 0
         self._routed = 0
-        #: replica index -> routed count at its last eject/probe event.
+        #: route() calls that found every replica ejected.
+        self._dead_routes = 0
+        #: replica index -> probe clock at its last eject/probe event.
         self._probe_marks: Dict[int, int] = {}
         #: replica indices with an in-flight probe (never probe twice).
         self._probing: set = set()
@@ -93,10 +105,11 @@ class Router:
     def route(self):
         """Pick the replica for one request (may probe an ejected one).
 
-        Raises :class:`ModelUnavailable` when every replica is ejected —
-        the caller should surface 503 rather than queueing into a dead
-        pool.  Probing happens outside the router lock: the probe is a
-        real request through the ejected replica's scheduler.
+        Raises :class:`ModelUnavailable` when every replica is ejected
+        and no due probe re-admits one — the caller should surface 503
+        rather than queueing into a dead pool.  Probing happens outside
+        the router lock: the probe is a real request through the ejected
+        replica's scheduler.
         """
         # Health and depth are snapshotted *outside* the router lock:
         # they are advisory (a replica can eject the instant after we
@@ -104,6 +117,9 @@ class Router:
         # Router._lock over Replica._lock / BatchScheduler._cond for
         # no consistency gain.
         healthy = [r.index for r in self.replicas if r.available()]
+        if not healthy:
+            self._probe_dead_pool()
+            healthy = [r.index for r in self.replicas if r.available()]
         if not healthy:
             obs.counter("serving.fleet.router.no_replicas").inc()
             raise ModelUnavailable(
@@ -122,22 +138,33 @@ class Router:
             self._probe(probe_target)
         return self.replicas[chosen]
 
+    def _probe_dead_pool(self) -> None:
+        """Spend one request of probe budget on a pool with no replica in
+        rotation.  Probes otherwise ride on routed requests, and a dead
+        pool routes none, so without this it would never recover."""
+        with self._lock:
+            self._dead_routes += 1
+            probe_target = self._due_probe_locked(self.replicas)
+        if probe_target is not None:
+            self._probe(probe_target)
+
     def _due_probe_locked(self, ejected):
         # Caller holds self._lock; *ejected* was snapshotted outside it.
-        # At most one ejected replica is selected per routed request,
-        # and only when its probe budget (probe_after routed requests
-        # since the last attempt) is spent.
+        # At most one ejected replica is selected per route() call, and
+        # only when its probe budget (probe_after requests since the
+        # last attempt, routed or refused by a dead pool) is spent.
+        clock = self._routed + self._dead_routes
         for replica in ejected:
             if replica.index in self._probing:
                 continue
             mark = self._probe_marks.get(replica.index)
             if mark is None:
                 # First time we see it ejected: start its budget now.
-                self._probe_marks[replica.index] = self._routed
+                self._probe_marks[replica.index] = clock
                 obs.counter("serving.fleet.router.ejections").inc()
                 continue
-            if self._routed - mark >= self.probe_after:
-                self._probe_marks[replica.index] = self._routed
+            if clock - mark >= self.probe_after:
+                self._probe_marks[replica.index] = clock
                 self._probing.add(replica.index)
                 return replica
         return None

@@ -2,11 +2,14 @@
 
 from datetime import timedelta
 
+import numpy as np
 import pytest
 
-from repro.core import DeploymentSimulator
+from repro.core import DeploymentSimulator, NewsDiffusionPipeline
 from repro.core.config import PipelineConfig
-from repro.datagen import WorldConfig, build_world
+from repro.datagen import World, WorldConfig, build_world
+from repro.store import Database
+from repro.streaming import IncrementalPipeline
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +20,8 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def report(world):
-    config = PipelineConfig(
+def config():
+    return PipelineConfig(
         n_topics=10,
         n_news_events=15,
         n_twitter_events=30,
@@ -30,10 +33,26 @@ def report(world):
         nmf_max_iter=120,
         seed=17,
     )
+
+
+@pytest.fixture(scope="module")
+def report(world, config):
     simulator = DeploymentSimulator(
         config, refresh=timedelta(days=10), variant="A2"
     )
     return simulator.run(world, n_cycles=3, start_fraction=0.55)
+
+
+def _visible_world(world, cutoff):
+    """The sub-world of documents created up to *cutoff* (batch input)."""
+    database = Database("visible", shard_count=world.database.shard_count)
+    for name in ("news", "tweets"):
+        for doc in world.database[name].find({"created_at": {"$lte": cutoff}}):
+            doc.pop("_id", None)
+            database[name].insert_one(doc)
+    return World(
+        config=world.config, database=database, population=world.population
+    )
 
 
 class TestDeployment:
@@ -69,6 +88,60 @@ class TestDeployment:
         text = report.summary()
         assert "cycle" in text
         assert str(report.cycles[-1].cycle) in text
+
+    def test_report_is_pinned(self, report):
+        rows = [
+            (
+                c.n_articles,
+                c.n_tweets,
+                c.n_trending,
+                c.n_pairs,
+                c.n_event_tweets,
+                c.trained,
+                c.warm_start,
+                c.n_epochs,
+                c.validation_accuracy,
+            )
+            for c in report.cycles
+        ]
+        assert rows == [
+            (396, 1251, 9, 7, 109, True, False, 25, 17 / 22),
+            (444, 1390, 9, 7, 122, True, True, 25, 0.88),
+            (482, 1543, 10, 7, 190, True, True, 15, 30 / 37),
+        ]
+
+
+class TestBatchParity:
+    def test_incremental_cycles_match_batch_runs(self, world, config, report):
+        """Every refresh equals a batch run over the visible slice.
+
+        The simulator only ever folds deltas into an incremental
+        pipeline; the batch pipeline stays the reference it must match
+        bitwise at each cutoff.
+        """
+        incremental = IncrementalPipeline(
+            config,
+            database=Database(
+                "parity", shard_count=world.database.shard_count
+            ),
+        )
+        batch = NewsDiffusionPipeline(config)
+        previous_cutoff = None
+        for cycle in report.cycles:
+            DeploymentSimulator._feed_incremental(
+                incremental, world, previous_cutoff, cycle.cutoff
+            )
+            previous_cutoff = cycle.cutoff
+            streamed = incremental.cycle()
+            reference = batch.run(_visible_world(world, cycle.cutoff))
+            assert (
+                streamed.correlation.n_pairs == reference.correlation.n_pairs
+            )
+            ours = streamed.datasets["A2"]
+            theirs = reference.datasets["A2"]
+            assert np.array_equal(ours.X, theirs.X)
+            assert np.array_equal(ours.y_likes, theirs.y_likes)
+            assert np.array_equal(ours.y_retweets, theirs.y_retweets)
 
 
 class TestValidation:

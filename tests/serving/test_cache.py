@@ -131,11 +131,18 @@ class TestColdCacheHitRate:
     def test_metrics_render_on_a_cold_service(self, artifact_dirs):
         # End to end: /metrics must serialise before any request warms
         # the cache (this is the path that would have divided by zero).
-        from repro.serving import ModelRegistry, ServingConfig, ServingService
+        from repro.serving import (
+            FleetConfig,
+            FleetService,
+            ModelRegistry,
+            ServingConfig,
+        )
 
         registry = ModelRegistry()
         registry.load(artifact_dirs[0])
-        service = ServingService(registry, ServingConfig(max_batch_size=4))
+        service = FleetService(
+            registry, ServingConfig(max_batch_size=4), FleetConfig(replicas=1)
+        )
         try:
             metrics = service.metrics()
             assert metrics["cache_hit_rate"] == 0.0

@@ -15,10 +15,11 @@ from repro.core.config import PipelineConfig
 from repro.core.deployment import DeploymentSimulator
 from repro.datagen import WorldConfig, build_world
 from repro.serving import (
+    FleetConfig,
+    FleetService,
     ModelRegistry,
     ServingClient,
     ServingConfig,
-    ServingService,
     load_artifact,
 )
 
@@ -71,8 +72,10 @@ class TestServeHandoff:
         _, serve_dir = handoff
         registry = ModelRegistry()
         registry.load(serve_dir)
-        service = ServingService(
-            registry, ServingConfig(max_batch_size=8, max_wait_ms=1)
+        service = FleetService(
+            registry,
+            ServingConfig(max_batch_size=8, max_wait_ms=1),
+            FleetConfig(replicas=1),
         )
         client = ServingClient(service)
         response = client.predict(

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    FleetConfig,
+    FleetService,
     ModelRegistry,
     ServingClient,
     ServingConfig,
-    ServingService,
 )
 
 N_THREADS = 8
@@ -47,7 +48,7 @@ def test_concurrent_load_with_midflight_swap(
     config = ServingConfig(
         max_batch_size=PAD, max_wait_ms=4.0, max_queue=512, timeout_s=30.0
     )
-    service = ServingService(registry, config)
+    service = FleetService(registry, config, FleetConfig(replicas=1))
     client = ServingClient(service)
 
     responses = [None] * N_REQUESTS
@@ -109,7 +110,7 @@ def test_concurrent_load_with_midflight_swap(
     assert versions_seen == {1, 2}
 
     # (b) micro-batching engaged
-    scheduler = service.scheduler
+    scheduler = service.replicas[0].scheduler
     assert scheduler.batches < N_REQUESTS
     assert scheduler.mean_batch_size > 1.0
 
@@ -124,8 +125,10 @@ def test_served_probabilities_are_pure_functions_of_the_tweet(
     bits — the cache returns replays, not recomputes."""
     registry = ModelRegistry()
     registry.load(artifact_dirs[0])
-    service = ServingService(
-        registry, ServingConfig(max_batch_size=PAD, max_wait_ms=1.0)
+    service = FleetService(
+        registry,
+        ServingConfig(max_batch_size=PAD, max_wait_ms=1.0),
+        FleetConfig(replicas=1),
     )
     client = ServingClient(service)
     record = serving_records[3]

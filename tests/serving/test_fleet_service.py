@@ -1,14 +1,15 @@
 """FleetService end-to-end: parity, retries, ejection, HTTP surface.
 
-The fleet is a drop-in superset of the single-worker service, and the
-first test here is the contract that makes everything else safe to
-ship: N replicas answer **bitwise identically** to one worker, because
+The first test here is the contract that makes everything else safe to
+ship: one replica and N replicas both answer **bitwise identically** to
+the offline ``Sequential.predict(X, batch_size=B, pad_to=B)``, because
 every replica's layer stack is a zero-copy view of the same published
 weights and features flow through the same cache/encode path.
 """
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.resilience import faults
@@ -24,7 +25,6 @@ from repro.serving import (
     ServingConfig,
     ServingError,
     ServingServer,
-    ServingService,
 )
 
 CONFIG = dict(max_batch_size=8, max_wait_ms=2)
@@ -56,17 +56,22 @@ def _predict(service, record, **kwargs):
 
 class TestParity:
     def test_fleet_matches_single_worker_bitwise(
-        self, artifact_dirs, serving_records
+        self, artifact_dirs, serving_records, serving_dataset, trained_models
     ):
-        single = ServingService(_registry(artifact_dirs), ServingConfig(**CONFIG))
-        with _fleet(artifact_dirs, replicas=3) as fleet:
-            for record in serving_records[:24]:
-                a = _predict(single, record)
-                b = _predict(fleet, record)
-                assert b.probabilities == a.probabilities  # exact, not approx
-                assert b.label == a.label
-                assert b.model_version == a.model_version == 1
-        single.close()
+        pad = CONFIG["max_batch_size"]
+        offline = trained_models[0].predict(
+            serving_dataset.X[:24], batch_size=pad, pad_to=pad
+        )
+        for replicas in (1, 3):
+            with _fleet(artifact_dirs, replicas=replicas) as fleet:
+                for i, record in enumerate(serving_records[:24]):
+                    response = _predict(fleet, record)
+                    # exact, not approx
+                    assert np.array_equal(
+                        np.asarray(response.probabilities), offline[i]
+                    ), f"{replicas} replica(s), record {i}"
+                    assert response.label == int(np.argmax(offline[i]))
+                    assert response.model_version == 1
 
     def test_swap_propagates_to_every_replica(
         self, artifact_dirs, serving_records
@@ -135,6 +140,40 @@ class TestReplicaFailures:
                 assert fleet.healthz()["healthy_replicas"] == 0
                 with pytest.raises(ModelUnavailable, match="all replicas"):
                     _predict(fleet, serving_records[1])
+
+    def test_dead_pool_probes_back_to_health(self, artifact_dirs, serving_records):
+        """A fleet whose only replica is ejected keeps probing it.
+
+        Probes ride on routed requests; the requests a dead pool refuses
+        must spend that budget too, or the pool never recovers.
+        """
+        plan = faults.FaultPlan(
+            seed=0,
+            specs=(
+                faults.FaultSpec(
+                    sites="serving.fleet.replica.0", rate=1.0, max_triggers=1
+                ),
+            ),
+        )
+        with _fleet(
+            artifact_dirs, replicas=1, eject_after=1, probe_after=2
+        ) as fleet:
+            with faults.overridden(plan):
+                with pytest.raises(ServingError):
+                    _predict(fleet, serving_records[0])
+                assert fleet.healthz()["status"] == "degraded"
+                outcomes = []
+                for record in serving_records[1:13]:
+                    try:
+                        outcomes.append(_predict(fleet, record).model_version)
+                    except ModelUnavailable:
+                        outcomes.append(None)
+            # The retry of request 0 starts the probe budget; request 1
+            # is refused; request 2 spends the budget, and the probe
+            # re-admits the replica in time to serve it.
+            assert outcomes == [None] + [1] * 11
+            assert fleet.healthz()["status"] == "ok"
+            assert fleet.replicas[0].describe()["failed"] == 1
 
 
 class TestAdmission:
@@ -282,15 +321,3 @@ class TestHTTPFleet:
         client.canary_start(artifact_dirs[1], mode="shadow", window=10_000)
         status = client.canary_abort()
         assert status["state"] == "rolled_back"
-
-    def test_canary_on_single_worker_is_400(self, artifact_dirs):
-        registry = _registry(artifact_dirs)
-        service = ServingService(registry, ServingConfig(**CONFIG))
-        server = ServingServer(service, port=0).start()
-        try:
-            client = HTTPServingClient(server.url)
-            with pytest.raises(BadRequest, match="fleet"):
-                client.canary_start(artifact_dirs[1])
-        finally:
-            server.stop()
-            service.close()

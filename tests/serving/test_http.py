@@ -9,11 +9,12 @@ import pytest
 
 from repro.serving import (
     BadRequest,
+    FleetConfig,
+    FleetService,
     HTTPServingClient,
     ModelRegistry,
     ServingConfig,
     ServingServer,
-    ServingService,
     SwapError,
 )
 
@@ -22,8 +23,10 @@ from repro.serving import (
 def server(artifact_dirs):
     registry = ModelRegistry()
     registry.load(artifact_dirs[0])
-    service = ServingService(
-        registry, ServingConfig(max_batch_size=8, max_wait_ms=2)
+    service = FleetService(
+        registry,
+        ServingConfig(max_batch_size=8, max_wait_ms=2),
+        FleetConfig(replicas=1),
     )
     srv = ServingServer(service, port=0).start()
     yield srv
@@ -62,7 +65,7 @@ class TestEndpoints:
         body = client.metrics()
         assert body["responses"] >= 1
         assert body["errors"] == 0
-        assert "cache" in body and "scheduler" in body
+        assert "cache" in body and len(body["schedulers"]) == 1
         assert set(body["latency_ms"]) == {"p50", "p95", "p99"}
 
     def test_swap_endpoint(self, client, artifact_dirs, serving_records):
