@@ -183,30 +183,49 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     rewrites the snapshot.  With ``--cycle`` it then runs one
     :class:`~repro.streaming.IncrementalPipeline` cycle over the
     updated store and prints the usual run summary.
+
+    A bad input line exits with ``<file>:<line>: <reason>`` before
+    anything is appended; records are checked with the same
+    :func:`~repro.streaming.ingest.find_invalid_record` the session
+    applies.
     """
     import json
     from datetime import datetime, timedelta
 
     from .streaming import IncrementalPipeline, IngestSession, StreamingConfig
+    from .streaming.ingest import find_invalid_record
 
     world = _world_from_snapshot(args.data, store_shards=args.store_shards)
-    records = []
-    with open(args.input, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            created = record.get("created_at")
-            if created is None:
-                raise SystemExit(
-                    f"{args.input}:{number}: record has no 'created_at'"
-                )
-            if isinstance(created, str):
-                record["created_at"] = datetime.fromisoformat(created)
-            records.append(record)
     lateness = timedelta(minutes=args.allowed_lateness_minutes)
     session = IngestSession.resume(world.database, allowed_lateness=lateness)
+    try:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            lines = list(enumerate(handle, start=1))
+    except OSError as exc:
+        raise SystemExit(f"{args.input}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"{args.input}: not UTF-8 text ({exc.reason})")
+    records, line_numbers = [], []
+    for number, line in lines:
+        if not line.strip():
+            continue
+        where = f"{args.input}:{number}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"{where}: invalid JSON: {exc.msg} (column {exc.colno})")
+        created = record.get("created_at") if isinstance(record, dict) else None
+        if isinstance(created, str):
+            try:
+                record["created_at"] = datetime.fromisoformat(created)
+            except ValueError:
+                raise SystemExit(f"{where}: 'created_at' is not ISO 8601: {created!r}")
+        records.append(record)
+        line_numbers.append(number)
+    invalid = find_invalid_record(records, session.watermark(args.collection))
+    if invalid is not None:
+        index, reason = invalid
+        raise SystemExit(f"{args.input}:{line_numbers[index]}: {reason}")
     ack = session.append(args.collection, records)
     counts = world.database.snapshot(args.data)
     watermark = ack.watermark.isoformat() if ack.watermark else "-"

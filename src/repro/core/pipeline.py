@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .. import obs
 from ..datagen import World
+from ..datagen.world import TWITTER_SLANG
 from ..datasets import VARIANT_NAMES, Dataset, EventTweet, build_all_datasets
 from ..parallel import parallel_map
 from ..embeddings import PretrainedEmbeddings
@@ -28,7 +29,9 @@ from ..text import (
     preprocess_for_event_detection,
     preprocess_for_topic_modeling,
 )
+from ..text.vocabulary import Vocabulary
 from ..topics import NMFResult, Topic, extract_topics
+from ..weighting.matrix import DocumentTermMatrix
 from .config import PipelineConfig
 from .correlation import CorrelationModule, CorrelationResult
 from .features import FeatureCreationModule, TweetRecord
@@ -86,6 +89,14 @@ STAGES = (
 )
 
 
+#: NewsTM vocabulary bounds for topic modeling: a term must occur in at
+#: least two articles and in at most 70% of them.
+NEWS_TM_MIN_DF = 2
+NEWS_TM_MAX_DF_RATIO = 0.7
+#: Minimum corpus count of a background-corpus word to get an embedding.
+BACKGROUND_MIN_COUNT = 2
+
+
 def news_tm_tokens(doc: Dict[str, Any]) -> List[str]:
     """One news article -> NewsTM tokens (topic-modeling preprocessing).
 
@@ -127,6 +138,77 @@ def tweet_record_of(doc: Dict[str, Any]) -> TweetRecord:
         followers=int(doc["followers"]),
         likes=int(doc["likes"]),
         retweets=int(doc["retweets"]),
+    )
+
+
+# -- stage factories: the batch and streaming pipelines build every stage
+# module here, so both configure each stage identically by construction.
+
+
+def _detector(config: PipelineConfig, slice_minutes: int) -> MABED:
+    return MABED(
+        slice_width=timedelta(minutes=slice_minutes),
+        min_term_support=config.min_term_support,
+        n_related_words=config.n_related_words,
+        theta=config.mabed_theta,
+        stopword_filter=is_stopword,
+        workers=config.workers or None,
+    )
+
+
+def news_detector(config: PipelineConfig) -> MABED:
+    """§4.4 / §5.3: MABED with ``news_slice_minutes`` slices over news."""
+    return _detector(config, config.news_slice_minutes)
+
+
+def twitter_detector(config: PipelineConfig) -> MABED:
+    """§4.4 / §5.4: MABED with ``twitter_slice_minutes`` slices over tweets."""
+    return _detector(config, config.twitter_slice_minutes)
+
+
+def background_embeddings(
+    config: PipelineConfig, dtm: DocumentTermMatrix
+) -> PretrainedEmbeddings:
+    """§4.9: the GoogleNews stand-in, LSA over the background TFIDF matrix.
+
+    GoogleNews (2013, news prose) has no entry for platform slang; those
+    words are dropped so the SW/RND/SWM variants differ as in §4.7.
+    """
+    return PretrainedEmbeddings.lsa_from_matrix(
+        dtm,
+        dim=config.embedding_dim,
+        coverage=config.embedding_coverage,
+        seed=config.seed,
+    ).without(TWITTER_SLANG)
+
+
+def trending_module(
+    config: PipelineConfig, embeddings: PretrainedEmbeddings
+) -> TrendingNewsModule:
+    """§4.5: the topic↔news-event matcher."""
+    return TrendingNewsModule(
+        embeddings,
+        similarity_threshold=config.trending_similarity_threshold,
+    )
+
+
+def correlation_module(
+    config: PipelineConfig, embeddings: PretrainedEmbeddings
+) -> CorrelationModule:
+    """§4.6: the trending-topic↔Twitter-event correlator."""
+    return CorrelationModule(
+        embeddings,
+        similarity_threshold=config.correlation_similarity_threshold,
+        start_window=timedelta(days=config.start_window_days),
+        start_slack=timedelta(days=config.start_slack_days),
+    )
+
+
+def feature_module(config: PipelineConfig) -> FeatureCreationModule:
+    """§4.7: the event-tweet feature extractor."""
+    return FeatureCreationModule(
+        min_event_records=config.min_event_records,
+        related_word_coverage=config.related_word_coverage,
     )
 
 
@@ -280,37 +362,25 @@ class NewsDiffusionPipeline:
             top_terms=self.config.topic_top_terms,
             max_iter=self.config.nmf_max_iter,
             seed=self.config.seed,
-            min_df=2,
-            max_df_ratio=0.7,
+            min_df=NEWS_TM_MIN_DF,
+            max_df_ratio=NEWS_TM_MAX_DF_RATIO,
         )
 
     def detect_news_events(
         self, news_ed: Sequence[TimestampedDocument]
     ) -> List[Event]:
         """§4.4 / §5.3: MABED with 60-minute slices over news."""
-        detector = MABED(
-            slice_width=timedelta(minutes=self.config.news_slice_minutes),
-            min_term_support=self.config.min_term_support,
-            n_related_words=self.config.n_related_words,
-            theta=self.config.mabed_theta,
-            stopword_filter=is_stopword,
-            workers=self.config.workers or None,
+        return news_detector(self.config).detect(
+            news_ed, self.config.n_news_events
         )
-        return detector.detect(news_ed, self.config.n_news_events)
 
     def detect_twitter_events(
         self, twitter_ed: Sequence[TimestampedDocument]
     ) -> List[Event]:
         """§4.4 / §5.4: MABED with 30-minute slices over tweets."""
-        detector = MABED(
-            slice_width=timedelta(minutes=self.config.twitter_slice_minutes),
-            min_term_support=self.config.min_term_support,
-            n_related_words=self.config.n_related_words,
-            theta=self.config.mabed_theta,
-            stopword_filter=is_stopword,
-            workers=self.config.workers or None,
+        return twitter_detector(self.config).detect(
+            twitter_ed, self.config.n_twitter_events
         )
-        return detector.detect(twitter_ed, self.config.n_twitter_events)
 
     def train_embeddings(
         self,
@@ -331,17 +401,13 @@ class NewsDiffusionPipeline:
             + [list(d.tokens) for d in twitter_ed]
             + [list(tokens) for tokens in news_tm]
         )
-        embeddings = PretrainedEmbeddings.train_background_lsa(
-            corpus,
-            dim=self.config.embedding_dim,
-            coverage=self.config.embedding_coverage,
-            seed=self.config.seed,
+        vocabulary = Vocabulary.from_documents(
+            corpus, min_count=BACKGROUND_MIN_COUNT
         )
-        # GoogleNews (2013, news prose) has no entry for platform slang;
-        # drop those words so the SW/RND/SWM variants differ as in §4.7.
-        from ..datagen.world import TWITTER_SLANG
-
-        return embeddings.without(TWITTER_SLANG)
+        dtm = DocumentTermMatrix.from_documents_with_vocabulary(
+            corpus, vocabulary, weighting="tfidf"
+        )
+        return background_embeddings(self.config, dtm)
 
     def build_predictor(self) -> AudienceInterestPredictor:
         """The §5.6 predictor configured from this pipeline's config."""
@@ -465,32 +531,23 @@ class NewsDiffusionPipeline:
             "embeddings", self.train_embeddings, news_ed, twitter_ed, news_tm
         )
 
-        trending_module = TrendingNewsModule(
-            embeddings,
-            similarity_threshold=self.config.trending_similarity_threshold,
-        )
         trending = staged(
-            "trending_news", trending_module.extract, nmf.topics, news_events
-        )
-
-        correlation_module = CorrelationModule(
-            embeddings,
-            similarity_threshold=self.config.correlation_similarity_threshold,
-            start_window=timedelta(days=self.config.start_window_days),
-            start_slack=timedelta(days=self.config.start_slack_days),
+            "trending_news",
+            trending_module(self.config, embeddings).extract,
+            nmf.topics,
+            news_events,
         )
         correlation = staged(
-            "correlation", correlation_module.correlate, trending, twitter_events
+            "correlation",
+            correlation_module(self.config, embeddings).correlate,
+            trending,
+            twitter_events,
         )
 
         tweet_records = staged("tweet_records", self.tweet_records, world)
-        feature_module = FeatureCreationModule(
-            min_event_records=self.config.min_event_records,
-            related_word_coverage=self.config.related_word_coverage,
-        )
         records = staged(
             "feature_creation",
-            feature_module.extract,
+            feature_module(self.config).extract,
             correlation.pairs,
             tweet_records,
         )

@@ -5,10 +5,11 @@
 trainable on the collected data.  That 3.6 GB binary is unavailable
 offline, so :class:`PretrainedEmbeddings` provides the same *interface*
 (fixed word -> 300-d vector lookup with an out-of-vocabulary notion, which
-drives the SW/RND/SWM distinction in §4.7) built from either
+drives the SW/RND/SWM distinction in §4.7) built from one of
 
-* a Word2Vec model trained on a background corpus (semantically structured
-  vectors — the default for the reproduction's experiments), or
+* LSA over a background corpus (semantically structured vectors — the
+  stand-in both pipelines use, see :meth:`lsa_from_matrix`),
+* a trained :class:`Word2Vec` model (:meth:`from_word2vec`), or
 * deterministic hash-seeded Gaussian vectors (fast, collision-free, used
   by unit tests and as a filler for background-corpus gaps).
 
@@ -77,42 +78,6 @@ class PretrainedEmbeddings:
         return cls(model.vectors(), model.vector_size)
 
     @classmethod
-    def train_background(
-        cls,
-        corpus: Sequence[Sequence[str]],
-        dim: int = 300,
-        epochs: int = 2,
-        min_count: int = 2,
-        coverage: float = 1.0,
-        seed: int = 0,
-    ) -> "PretrainedEmbeddings":
-        """Train on a background corpus, then optionally drop coverage.
-
-        *coverage* < 1 removes the rarest (1 - coverage) fraction of words
-        from the store, simulating GoogleNews misses on novel/slang tweet
-        terms (which is what distinguishes the SW and RND variants).
-        """
-        if not 0.0 < coverage <= 1.0:
-            raise ValueError("coverage must lie in (0, 1]")
-        model = Word2Vec(
-            vector_size=dim,
-            min_count=min_count,
-            epochs=epochs,
-            seed=seed,
-            sg=True,
-        )
-        model.train(corpus)
-        vectors = model.vectors()
-        if coverage < 1.0 and vectors:
-            # Drop the rarest words first: GoogleNews misses tail terms.
-            ranked = sorted(
-                vectors, key=lambda w: (model.word_counts[w], w), reverse=True
-            )
-            keep = max(1, int(round(len(ranked) * coverage)))
-            vectors = {w: vectors[w] for w in ranked[:keep]}
-        return cls(vectors, dim)
-
-    @classmethod
     def train_background_lsa(
         cls,
         corpus: Sequence[Sequence[str]],
@@ -130,14 +95,10 @@ class PretrainedEmbeddings:
         unit-normalized and zero-padded up to *dim* when the corpus rank
         is smaller.
         """
-        if not 0.0 < coverage <= 1.0:
-            raise ValueError("coverage must lie in (0, 1]")
         from ..text.vocabulary import Vocabulary
         from ..weighting.matrix import DocumentTermMatrix
 
         vocabulary = Vocabulary.from_documents(corpus, min_count=min_count)
-        if len(vocabulary) == 0:
-            return cls({}, dim)
         dtm = DocumentTermMatrix.from_documents_with_vocabulary(
             corpus, vocabulary, weighting="tfidf"
         )
@@ -153,10 +114,10 @@ class PretrainedEmbeddings:
     ) -> "PretrainedEmbeddings":
         """LSA embeddings from a prebuilt TFIDF :class:`DocumentTermMatrix`.
 
-        Split out of :meth:`train_background_lsa` so the streaming
-        pipeline, which maintains the document-term matrix
-        incrementally, can run the identical SVD path and stay bitwise
-        compatible with the batch route.
+        Both pipelines call this through
+        :func:`repro.core.pipeline.background_embeddings`: the batch one
+        builds the matrix from documents, the streaming one from cached
+        counts, and the SVD path is shared so the two stay bitwise equal.
         """
         if not 0.0 < coverage <= 1.0:
             raise ValueError("coverage must lie in (0, 1]")

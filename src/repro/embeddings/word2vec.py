@@ -32,7 +32,6 @@ initialization.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,13 +42,6 @@ from .. import obs
 
 TRAINERS = ("batch", "loop")
 
-
-def _word_seed(word: str, salt: int) -> int:
-    """Stable per-word RNG seed: init rows for words added by
-    :meth:`Word2Vec.grow_vocab` must not depend on *when* the word
-    crossed ``min_count``, only on the word itself and the model seed."""
-    digest = hashlib.sha256(f"w2v:{salt}:{word}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
 
 # Bounded re-draw budget when a negative sample collides with the
 # positive target; past it we derive a non-colliding index directly.
@@ -143,12 +135,6 @@ class Word2Vec:
         self.W_out: Optional[np.ndarray] = None
         self._noise_table: Optional[np.ndarray] = None
         self._keep_probs: Optional[np.ndarray] = None
-        # Cumulative raw counts (including sub-min_count words) so that
-        # grow_vocab can promote a word once its *total* count crosses
-        # the threshold, and the number of completed training sessions,
-        # which decorrelates each continue_train's stream.
-        self._raw_counts: Counter = Counter()
-        self._sessions = 0
 
     # -- vocabulary ----------------------------------------------------------
 
@@ -164,7 +150,6 @@ class Word2Vec:
         self.index_to_word = kept
         self.word_to_index = {w: i for i, w in enumerate(kept)}
         self.word_counts = Counter({w: counts[w] for w in kept})
-        self._raw_counts = counts
 
         rng = np.random.default_rng(self.seed)
         bound = 0.5 / self.vector_size
@@ -172,57 +157,6 @@ class Word2Vec:
         self.W_out = np.zeros((len(kept), self.vector_size))
         self._build_noise_table()
         self._build_keep_probs()
-
-    def grow_vocab(self, corpus: Sequence[Sequence[str]]) -> List[str]:
-        """Fold *corpus* into the vocabulary, appending newly eligible words.
-
-        Existing words keep their indexes (and therefore their trained
-        vectors); words whose cumulative raw count crosses ``min_count``
-        are appended in ``(-count, word)`` order with deterministic
-        per-word init rows (``uniform(-bound, bound)`` seeded by a hash
-        of the word, so the row is independent of arrival time) and
-        zeroed output rows, matching a fresh word's state in
-        :meth:`build_vocab`.  The noise table and subsampling
-        probabilities are rebuilt from the updated counts.  Returns the
-        list of words added.  Builds from scratch when no vocabulary
-        exists yet.
-        """
-        if self.W_in is None:
-            self.build_vocab(corpus)
-            return list(self.index_to_word)
-        for sentence in corpus:
-            self._raw_counts.update(sentence)
-        new_words = sorted(
-            (
-                w
-                for w, c in self._raw_counts.items()
-                if c >= self.min_count and w not in self.word_to_index
-            ),
-            key=lambda w: (-self._raw_counts[w], w),
-        )
-        if new_words:
-            bound = 0.5 / self.vector_size
-            rows = np.vstack(
-                [
-                    np.random.default_rng(_word_seed(w, self.seed)).uniform(
-                        -bound, bound, self.vector_size
-                    )
-                    for w in new_words
-                ]
-            )
-            self.W_in = np.vstack([self.W_in, rows])
-            self.W_out = np.vstack(
-                [self.W_out, np.zeros((len(new_words), self.vector_size))]
-            )
-            for w in new_words:
-                self.word_to_index[w] = len(self.index_to_word)
-                self.index_to_word.append(w)
-        self.word_counts = Counter(
-            {w: self._raw_counts[w] for w in self.index_to_word}
-        )
-        self._build_noise_table()
-        self._build_keep_probs()
-        return new_words
 
     def _build_noise_table(self, table_size: int = 100_000) -> None:
         """Cumulative unigram^0.75 table for O(1) negative sampling.
@@ -274,32 +208,6 @@ class Word2Vec:
 
         encoded = self._encode_corpus(corpus)
         rng = np.random.default_rng(self.seed + 1)
-        final_loss = self._run_epochs(encoded, rng)
-        self._sessions = max(self._sessions, 1)
-        return final_loss
-
-    def continue_train(self, corpus: Sequence[Sequence[str]]) -> float:
-        """Further train the existing vectors on *corpus* only.
-
-        Unlike :meth:`train` this never rebuilds the vocabulary — call
-        :meth:`grow_vocab` first so new words have rows — and it draws
-        from a fresh stream (``seed + 1 + sessions``) so successive
-        continuations are decorrelated from each other and from the
-        initial :meth:`train` pass.  Cost is O(len(corpus)), which is
-        what makes per-cycle embedding continuation in the streaming
-        pipeline cheap.  Returns the mean final-epoch loss.
-        """
-        if self.W_in is None:
-            raise RuntimeError("no vocabulary — call grow_vocab or train first")
-        if len(self.index_to_word) == 0:
-            raise ValueError("empty vocabulary — corpus too small for min_count")
-        encoded = self._encode_corpus(corpus)
-        rng = np.random.default_rng(self.seed + 1 + self._sessions)
-        self._sessions += 1
-        return self._run_epochs(encoded, rng)
-
-    def _run_epochs(self, encoded: List[np.ndarray], rng) -> float:
-        """The shared epoch loop over pre-encoded sentences."""
         total_steps = max(1, self.epochs * sum(len(s) for s in encoded))
         step = 0
         final_loss = 0.0

@@ -20,10 +20,12 @@ data):
   document-term matrix and LSA inputs rebuild in O(nnz) numpy, not
   O(corpus) python.
 * :class:`StreamingStateStore` (``state``) — crash-safe persistence of
-  the folded corpora + warm-start model state, fingerprint-invalidated.
+  the folded corpora + warm-start NMF factors, fingerprint-invalidated.
 * :class:`IncrementalPipeline` (``pipeline``) — the per-cycle driver
   returning the same :class:`~repro.core.pipeline.PipelineResult` as
-  the batch pipeline; exact by default, warm-started when configured.
+  the batch pipeline.  It builds every stage module with the batch
+  pipeline's factories and embeds text with the same LSA stand-in, so
+  it is exact by default; ``topic_mode="warm"`` warm-starts NMF.
 
 ``docs/streaming.md`` documents which paths are exact (bitwise equal to
 batch) and which are tolerance-bounded, and why.

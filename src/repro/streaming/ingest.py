@@ -27,11 +27,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from ..resilience import faults
-from ..store import Database
+from ..store import Database, ValidationError
 from ..tools.annotations import guarded_by
 
 
@@ -48,6 +48,30 @@ class IngestAck:
     def accepted(self) -> int:
         """Number of records durably written (``len(self.ids)``)."""
         return len(self.ids)
+
+
+def find_invalid_record(
+    records: Sequence[Any], reference: Optional[datetime] = None
+) -> Optional[Tuple[int, str]]:
+    """``(index, reason)`` of the first record that cannot be appended.
+
+    A record must be a mapping whose ``created_at`` is a ``datetime``,
+    timezone-aware exactly when *reference* (the collection's current
+    watermark, if any) and the batch's earlier records are: naive and
+    aware timestamps cannot be ordered against each other.  Returns
+    None when every record is valid.
+    """
+    for index, record in enumerate(records):
+        if not isinstance(record, Mapping):
+            return index, f"record is a {type(record).__name__}, not a mapping"
+        created = record.get("created_at")
+        if not isinstance(created, datetime):
+            return index, f"'created_at' must be a datetime, got {created!r}"
+        if reference is None:
+            reference = created
+        elif (created.tzinfo is None) != (reference.tzinfo is None):
+            return index, "'created_at' mixes timezone-aware and naive datetimes"
+    return None
 
 
 @guarded_by("_lock", "_high_water")
@@ -126,12 +150,22 @@ class IngestSession:
         discarded — the store assigns monotonically increasing ids in
         arrival order, which is what keeps streaming and batch document
         orders identical.
+
+        Every record is checked (:func:`find_invalid_record`) before
+        anything is written: one invalid record raises
+        :class:`~repro.store.ValidationError` naming its batch index and
+        the whole batch is refused.
         """
+        batch = list(records)
         with self._lock:
             watermark = self._watermark_locked(collection)
+        invalid = find_invalid_record(batch, watermark)
+        if invalid is not None:
+            index, reason = invalid
+            raise ValidationError(f"{collection} batch index {index}: {reason}")
         accepted: List[Dict[str, Any]] = []
         dropped = 0
-        for record in records:
+        for record in batch:
             if watermark is not None and record["created_at"] < watermark:
                 dropped += 1
                 continue

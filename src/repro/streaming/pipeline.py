@@ -10,20 +10,18 @@ inverted indexes, the related-words cache — and then re-runs the cheap
 global steps over that state.  The output is a regular
 :class:`~repro.core.pipeline.PipelineResult`.
 
-Parity contract (checked by the differential harness in
-``tests/streaming``):
+Every stage module comes from the same factory in
+:mod:`repro.core.pipeline` the batch pipeline uses.  Parity contract
+(checked by the differential harness in ``tests/streaming``):
 
-* **exact path** (``topic_mode="cold"``, ``embeddings_mode="lsa"`` —
-  the defaults): every product (events, topics, embeddings,
-  correlation, dataset tensors) is *bitwise identical* to a batch
-  :meth:`NewsDiffusionPipeline.run` over the same documents, however
-  the arrivals were chunked;
-* **fast path** (``topic_mode="warm"`` and/or
-  ``embeddings_mode="word2vec"``): NMF warm-starts from the previous
-  factorization and Word2Vec grows its vocabulary and continues
-  training — same objective, different trajectory, so products are
-  tolerance-comparable rather than bitwise (MABED events stay bitwise
-  in every mode).
+* **exact path** (``topic_mode="cold"``, the default): every product
+  (events, topics, embeddings, correlation, dataset tensors) is
+  *bitwise identical* to a batch :meth:`NewsDiffusionPipeline.run` over
+  the same documents, however the arrivals were chunked;
+* **warm path** (``topic_mode="warm"``): NMF warm-starts from the
+  previous factorization — same objective, different trajectory, so
+  topics are tolerance-comparable rather than bitwise (MABED events and
+  LSA embeddings stay bitwise).
 
 Crash safety: the store's WAL is the source of truth; the optional
 :class:`~repro.streaming.state.StreamingStateStore` checkpoint is only
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import Counter
 from dataclasses import dataclass
 from datetime import timedelta
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
@@ -45,24 +42,28 @@ import numpy as np
 
 from .. import obs
 from ..core.config import PipelineConfig
-from ..core.correlation import CorrelationModule
-from ..core.features import FeatureCreationModule, TweetRecord
+from ..core.features import TweetRecord
 from ..core.pipeline import (
+    BACKGROUND_MIN_COUNT,
+    NEWS_TM_MAX_DF_RATIO,
+    NEWS_TM_MIN_DF,
     PipelineResult,
+    background_embeddings,
+    correlation_module,
+    feature_module,
+    news_detector,
     news_ed_document,
     news_tm_tokens,
+    trending_module,
     tweet_record_of,
+    twitter_detector,
     twitter_ed_document,
 )
-from ..core.trending import TrendingNewsModule
-from ..datagen.world import TWITTER_SLANG
 from ..datasets import Dataset, VARIANT_NAMES, build_all_datasets
 from ..embeddings import PretrainedEmbeddings
-from ..embeddings.word2vec import Word2Vec
-from ..events import Event, MABED
+from ..events import Event
 from ..events.timeslice import TimestampedDocument
 from ..store import Database
-from ..text import is_stopword
 from ..text.vocabulary import Vocabulary
 from ..topics.nmf import NMF, NMFResult
 from ..weighting.matrix import DocumentTermMatrix
@@ -79,16 +80,14 @@ from .state import StreamingStateStore
 T = TypeVar("T")
 
 TOPIC_MODES = ("cold", "warm")
-EMBEDDINGS_MODES = ("lsa", "word2vec")
 
 
 @dataclass
 class StreamingConfig:
     """Knobs specific to the incremental pipeline.
 
-    ``topic_mode`` / ``embeddings_mode`` select the exact or fast
-    variants of the two iterative stages (see the module docstring for
-    the parity contract of each combination).
+    ``topic_mode`` selects the exact or warm-started NMF (see the module
+    docstring for the parity contract of each).
     """
 
     #: Records older than ``watermark = max(created_at) - allowed_lateness``
@@ -98,13 +97,6 @@ class StreamingConfig:
     #: "cold": re-factorize from the seeded random init (bitwise equal to
     #: batch).  "warm": init from the previous cycle's factors.
     topic_mode: str = "cold"
-    #: "lsa": full SVD over the incrementally maintained TFIDF matrix
-    #: (bitwise equal to batch).  "word2vec": grow vocabulary + continue
-    #: training on new sentences only.
-    embeddings_mode: str = "lsa"
-    #: Epochs per continue-training session in "word2vec" mode (the batch
-    #: background trainer uses 2).
-    w2v_epochs: int = 2
 
     def __post_init__(self) -> None:
         if self.allowed_lateness < timedelta(0):
@@ -113,13 +105,6 @@ class StreamingConfig:
             raise ValueError(
                 f"topic_mode must be one of {TOPIC_MODES}, got {self.topic_mode!r}"
             )
-        if self.embeddings_mode not in EMBEDDINGS_MODES:
-            raise ValueError(
-                f"embeddings_mode must be one of {EMBEDDINGS_MODES}, "
-                f"got {self.embeddings_mode!r}"
-            )
-        if self.w2v_epochs < 1:
-            raise ValueError("w2v_epochs must be >= 1")
 
 
 def _hash_rng(label: str) -> np.random.Generator:
@@ -167,10 +152,7 @@ class IncrementalPipeline:
 
     def _state_key(self) -> str:
         s = self.streaming
-        return (
-            f"{s.topic_mode}:{s.embeddings_mode}:{s.w2v_epochs}:"
-            f"{s.allowed_lateness.total_seconds()}"
-        )
+        return f"{s.topic_mode}:{s.allowed_lateness.total_seconds()}"
 
     def _reset_derived(self) -> None:
         self.news_tm: List[List[str]] = []
@@ -182,35 +164,11 @@ class IncrementalPipeline:
         self._bg_news_ed = SegmentCounts(background)
         self._bg_twitter_ed = SegmentCounts(background)
         self._bg_news_tm = SegmentCounts(background)
-        self.mabed_news = IncrementalMABED(self._news_detector())
-        self.mabed_twitter = IncrementalMABED(self._twitter_detector())
+        self.mabed_news = IncrementalMABED(news_detector(self.config))
+        self.mabed_twitter = IncrementalMABED(twitter_detector(self.config))
         self._last_ids: Dict[str, int] = {"news": 0, "tweets": 0}
         self._cycle = 0
         self._nmf_state: Optional[Dict[str, Any]] = None
-        self._w2v: Optional[Word2Vec] = None
-        self._pending_sentences: List[List[str]] = []
-
-    # -- detectors (constructed exactly as the batch pipeline does) --------
-
-    def _news_detector(self) -> MABED:
-        return MABED(
-            slice_width=timedelta(minutes=self.config.news_slice_minutes),
-            min_term_support=self.config.min_term_support,
-            n_related_words=self.config.n_related_words,
-            theta=self.config.mabed_theta,
-            stopword_filter=is_stopword,
-            workers=self.config.workers or None,
-        )
-
-    def _twitter_detector(self) -> MABED:
-        return MABED(
-            slice_width=timedelta(minutes=self.config.twitter_slice_minutes),
-            min_term_support=self.config.min_term_support,
-            n_related_words=self.config.n_related_words,
-            theta=self.config.mabed_theta,
-            stopword_filter=is_stopword,
-            workers=self.config.workers or None,
-        )
 
     # -- ingestion ---------------------------------------------------------
 
@@ -238,7 +196,6 @@ class IncrementalPipeline:
         """Fold documents appended since the last cycle; O(new data)."""
         new_news = self._new_documents("news", len(self.news_ed))
         new_news_ed: List[TimestampedDocument] = []
-        new_news_tm: List[List[str]] = []
         for doc in new_news:
             tokens = news_tm_tokens(doc)
             ed_doc = news_ed_document(doc)
@@ -248,7 +205,6 @@ class IncrementalPipeline:
             self._bg_news_ed.append(ed_doc.tokens)
             self._bg_news_tm.append(tokens)
             new_news_ed.append(ed_doc)
-            new_news_tm.append(tokens)
             self._last_ids["news"] = doc["_id"]
 
         new_tweets = self._new_documents("tweets", len(self.twitter_ed))
@@ -263,17 +219,6 @@ class IncrementalPipeline:
 
         self.mabed_news.extend(new_news_ed)
         self.mabed_twitter.extend(new_twitter_ed)
-        if self.streaming.embeddings_mode == "word2vec":
-            # Same segment order as the batch background corpus.
-            self._pending_sentences.extend(
-                list(d.tokens) for d in new_news_ed
-            )
-            self._pending_sentences.extend(
-                list(d.tokens) for d in new_twitter_ed
-            )
-            self._pending_sentences.extend(
-                list(tokens) for tokens in new_news_tm
-            )
         obs.counter("streaming.folded_documents").inc(
             len(new_news) + len(new_tweets)
         )
@@ -294,8 +239,8 @@ class IncrementalPipeline:
             self._tm_seg.term_counts,
             self._tm_seg.doc_counts,
             self._tm_seg.num_docs,
-            min_df=2,
-            max_df_ratio=0.7,
+            min_df=NEWS_TM_MIN_DF,
+            max_df_ratio=NEWS_TM_MAX_DF_RATIO,
         )
         counts = assemble_counts([self._tm_seg], vocabulary)
         dtm = DocumentTermMatrix.from_counts(
@@ -360,55 +305,20 @@ class IncrementalPipeline:
         return W0, H0
 
     def _embeddings(self) -> PretrainedEmbeddings:
-        """Background embeddings over the incrementally maintained corpus."""
-        cfg = self.config
-        if self.streaming.embeddings_mode == "lsa":
-            segments = [self._bg_news_ed, self._bg_twitter_ed, self._bg_news_tm]
-            term_counts, doc_counts, num_docs = combined_counts(segments)
-            vocabulary = Vocabulary.from_counts(
-                term_counts, doc_counts, num_docs, min_count=2
-            )
-            if len(vocabulary) == 0:
-                embeddings = PretrainedEmbeddings({}, cfg.embedding_dim)
-            else:
-                counts = assemble_counts(segments, vocabulary)
-                dtm = DocumentTermMatrix.from_counts(
-                    counts, vocabulary, weighting="tfidf"
-                )
-                embeddings = PretrainedEmbeddings.lsa_from_matrix(
-                    dtm,
-                    dim=cfg.embedding_dim,
-                    coverage=cfg.embedding_coverage,
-                    seed=cfg.seed,
-                )
-            return embeddings.without(TWITTER_SLANG)
+        """Background embeddings over the incrementally kept corpus.
 
-        # word2vec: grow the vocabulary, continue training on new text only.
-        if self._w2v is None:
-            self._w2v = Word2Vec(
-                vector_size=cfg.embedding_dim,
-                min_count=2,
-                epochs=self.streaming.w2v_epochs,
-                seed=cfg.seed,
-                sg=True,
-            )
-        pending, self._pending_sentences = self._pending_sentences, []
-        if pending:
-            self._w2v.grow_vocab(pending)
-            if self._w2v.index_to_word:
-                self._w2v.continue_train(pending)
-        vectors = self._w2v.vectors() if self._w2v.W_in is not None else {}
-        coverage = cfg.embedding_coverage
-        if coverage < 1.0 and vectors:
-            model = self._w2v
-            ranked = sorted(
-                vectors, key=lambda w: (model.word_counts[w], w), reverse=True
-            )
-            keep = max(1, int(round(len(ranked) * coverage)))
-            vectors = {w: vectors[w] for w in ranked[:keep]}
-        return PretrainedEmbeddings(vectors, cfg.embedding_dim).without(
-            TWITTER_SLANG
+        The batch pipeline's vocabulary and TFIDF matrix, assembled from
+        cached counts, through the same :func:`background_embeddings`.
+        """
+        segments = [self._bg_news_ed, self._bg_twitter_ed, self._bg_news_tm]
+        term_counts, doc_counts, num_docs = combined_counts(segments)
+        vocabulary = Vocabulary.from_counts(
+            term_counts, doc_counts, num_docs, min_count=BACKGROUND_MIN_COUNT
         )
+        dtm = DocumentTermMatrix.from_counts(
+            assemble_counts(segments, vocabulary), vocabulary, weighting="tfidf"
+        )
+        return background_embeddings(self.config, dtm)
 
     # -- orchestration -----------------------------------------------------
 
@@ -427,7 +337,7 @@ class IncrementalPipeline:
         """Fold new data, then produce a full :class:`PipelineResult`.
 
         Stage structure mirrors :meth:`NewsDiffusionPipeline._run_stages`
-        (same module constructions, same ordering) with the expensive
+        (same module factories, same ordering) with the expensive
         per-document work replaced by incremental folds.
         """
         cfg = self.config
@@ -454,34 +364,24 @@ class IncrementalPipeline:
             )
             embeddings = self._timed(timings, "embeddings", self._embeddings)
 
-            trending_module = TrendingNewsModule(
-                embeddings,
-                similarity_threshold=cfg.trending_similarity_threshold,
-            )
             trending = self._timed(
                 timings,
                 "trending_news",
-                lambda: trending_module.extract(nmf.topics, news_events),
-            )
-            correlation_module = CorrelationModule(
-                embeddings,
-                similarity_threshold=cfg.correlation_similarity_threshold,
-                start_window=timedelta(days=cfg.start_window_days),
-                start_slack=timedelta(days=cfg.start_slack_days),
+                lambda: trending_module(cfg, embeddings).extract(
+                    nmf.topics, news_events
+                ),
             )
             correlation = self._timed(
                 timings,
                 "correlation",
-                lambda: correlation_module.correlate(trending, twitter_events),
-            )
-            feature_module = FeatureCreationModule(
-                min_event_records=cfg.min_event_records,
-                related_word_coverage=cfg.related_word_coverage,
+                lambda: correlation_module(cfg, embeddings).correlate(
+                    trending, twitter_events
+                ),
             )
             records = self._timed(
                 timings,
                 "feature_creation",
-                lambda: feature_module.extract(
+                lambda: feature_module(cfg).extract(
                     correlation.pairs, self.tweet_records
                 ),
             )
@@ -540,14 +440,6 @@ class IncrementalPipeline:
             manifest["nmf_terms"] = list(self._nmf_state["terms"])
             arrays["nmf_W"] = np.asarray(self._nmf_state["W"])
             arrays["nmf_H"] = np.asarray(self._nmf_state["H"])
-        if self._w2v is not None and self._w2v.W_in is not None:
-            manifest["w2v"] = {
-                "words": list(self._w2v.index_to_word),
-                "raw_counts": dict(self._w2v._raw_counts),
-                "sessions": self._w2v._sessions,
-            }
-            arrays["w2v_W_in"] = self._w2v.W_in
-            arrays["w2v_W_out"] = self._w2v.W_out
         stages = {
             "preprocess_news_tm": self.news_tm,
             "preprocess_news_ed": self.news_ed,
@@ -621,28 +513,4 @@ class IncrementalPipeline:
                 "H": np.asarray(arrays["nmf_H"], dtype=np.float64),
                 "terms": [str(term) for term in manifest["nmf_terms"]],
             }
-        spec = manifest.get("w2v")
-        if spec is not None and "w2v_W_in" in arrays:
-            model = Word2Vec(
-                vector_size=self.config.embedding_dim,
-                min_count=2,
-                epochs=self.streaming.w2v_epochs,
-                seed=self.config.seed,
-                sg=True,
-            )
-            words = [str(word) for word in spec["words"]]
-            model.index_to_word = words
-            model.word_to_index = {w: i for i, w in enumerate(words)}
-            model._raw_counts = Counter(
-                {str(w): int(c) for w, c in dict(spec["raw_counts"]).items()}
-            )
-            model.word_counts = Counter(
-                {w: model._raw_counts[w] for w in words}
-            )
-            model.W_in = np.asarray(arrays["w2v_W_in"], dtype=np.float64)
-            model.W_out = np.asarray(arrays["w2v_W_out"], dtype=np.float64)
-            model._sessions = int(spec.get("sessions", 0))
-            model._build_noise_table()
-            model._build_keep_probs()
-            self._w2v = model
         obs.counter("streaming.checkpoint.restored").inc()

@@ -107,3 +107,90 @@ class TestTraceOption:
         with pytest.raises(SystemExit):
             main(["run", "--data", str(tmp_path / "nope"), "--trace", trace])
         assert not os.path.exists(trace)
+
+
+class TestIngestInputErrors:
+    """Bad ``repro ingest`` input exits with ``<file>:<line>: <reason>``.
+
+    Line 1 of every input is a valid tweet, so each case also proves the
+    bad line refuses the whole file: the snapshot is left unchanged.
+    """
+
+    GOOD = {
+        "text": "late breaking news",
+        "author": "someone",
+        "followers": 10,
+        "likes": 1,
+        "retweets": 0,
+        "created_at": "2019-08-29T12:00:00",
+    }
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("ingest-world"))
+        code = main(
+            ["generate", "--articles", "40", "--tweets", "80",
+             "--users", "10", "--seed", "5", "--out", directory]
+        )
+        assert code == 0
+        return directory
+
+    def _ingest_error(self, snapshot, tmp_path, bad_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps(self.GOOD) + "\n\n" + bad_line + "\n", encoding="utf-8"
+        )
+        with open(os.path.join(snapshot, "tweets.jsonl"), "rb") as handle:
+            before = handle.read()
+        code = _exit_code(["ingest", "--data", snapshot, "--input", str(path)])
+        with open(os.path.join(snapshot, "tweets.jsonl"), "rb") as handle:
+            assert handle.read() == before
+        assert isinstance(code, str)
+        prefix = f"{path}:3: "
+        assert code.startswith(prefix), code
+        return code[len(prefix):]
+
+    def _record(self, **changes):
+        return json.dumps({**self.GOOD, **changes})
+
+    def test_malformed_json(self, snapshot, tmp_path):
+        reason = self._ingest_error(snapshot, tmp_path, '{"text": "oops"')
+        assert reason.startswith("invalid JSON")
+
+    def test_non_object_line(self, snapshot, tmp_path):
+        reason = self._ingest_error(snapshot, tmp_path, '["a", "list"]')
+        assert "not a mapping" in reason
+
+    def test_unparseable_created_at(self, snapshot, tmp_path):
+        reason = self._ingest_error(
+            snapshot, tmp_path, self._record(created_at="not-a-date")
+        )
+        assert "is not ISO 8601" in reason
+
+    def test_numeric_created_at(self, snapshot, tmp_path):
+        reason = self._ingest_error(
+            snapshot, tmp_path, self._record(created_at=12)
+        )
+        assert "must be a datetime, got 12" in reason
+
+    def test_missing_created_at(self, snapshot, tmp_path):
+        record = {k: v for k, v in self.GOOD.items() if k != "created_at"}
+        reason = self._ingest_error(snapshot, tmp_path, json.dumps(record))
+        assert "must be a datetime, got None" in reason
+
+    def test_timezone_aware_created_at(self, snapshot, tmp_path):
+        reason = self._ingest_error(
+            snapshot, tmp_path, self._record(created_at="2019-08-30T00:00:00Z")
+        )
+        assert "timezone-aware and naive" in reason
+
+    def test_missing_input_file(self, snapshot, tmp_path):
+        path = str(tmp_path / "absent.jsonl")
+        code = _exit_code(["ingest", "--data", snapshot, "--input", path])
+        assert isinstance(code, str) and code.startswith(f"{path}: ")
+
+    def test_non_utf8_input(self, snapshot, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes('{"text": "caf\u00e9"}\n'.encode("latin-1"))
+        code = _exit_code(["ingest", "--data", snapshot, "--input", str(path)])
+        assert isinstance(code, str) and code.startswith(f"{path}: not UTF-8")

@@ -8,9 +8,9 @@ The contract under test (see ``docs/streaming.md``):
   :meth:`NewsDiffusionPipeline.run` — event sets, NMF factors, topic
   keywords, embedding vectors, correlation pairs, and encoded dataset
   tensors — for every K and every seed;
-* **fast mode** (warm NMF, incremental Word2Vec): MABED events stay
-  bitwise; the NMF objective converges to within a pinned tolerance of
-  the batch optimum in strictly fewer iterations;
+* **warm mode** (warm-started NMF): MABED events stay bitwise; the NMF
+  objective converges to within a pinned tolerance of the batch optimum
+  in strictly fewer iterations;
 * a record arriving behind the ingest watermark is dropped, and the
   stream then equals the batch oracle over the *accepted* documents.
 """
@@ -227,23 +227,3 @@ def test_warm_nmf_mode_converges_near_batch_objective(corpus):
     )
     assert streamed.nmf.W.shape == batch.nmf.W.shape
     assert streamed.nmf.H.shape == batch.nmf.H.shape
-
-
-def test_word2vec_mode_produces_usable_embeddings(corpus):
-    """Fast-mode embeddings: grown vocabulary, unit-dim vectors, events bitwise."""
-    seed, config, news, tweets, batch = corpus
-    streamed = _stream(
-        config,
-        news,
-        tweets,
-        4,
-        streaming=StreamingConfig(embeddings_mode="word2vec"),
-        name=f"w2v-{seed}",
-    )
-    assert [_event_key(e) for e in batch.news_events] == [
-        _event_key(e) for e in streamed.news_events
-    ]
-    words = streamed.embeddings.words()
-    assert words, "incremental word2vec produced an empty vocabulary"
-    for word in words[:20]:
-        assert streamed.embeddings[word].shape == (config.embedding_dim,)

@@ -25,6 +25,7 @@ from datetime import timedelta
 
 import pytest
 
+from repro import obs
 from repro.core import PipelineConfig
 from repro.core.pipeline import NewsDiffusionPipeline
 from repro.datagen import WorldConfig, build_world
@@ -250,4 +251,50 @@ def test_lateness_budget_survives_crash_boundary(tmp_path, oracle):
     assert ack.dropped_late == 0
     assert ack.accepted == len(tweets)
     resumed.cycle()
+    recovered.close()
+
+
+def test_config_change_makes_checkpoint_stale(tmp_path, oracle):
+    """A checkpoint from another StreamingConfig is ignored, not adopted.
+
+    Its fingerprint no longer matches, so the reopened pipeline counts
+    it stale, refolds every stored document, and still equals batch.
+    """
+    config, news, tweets, batch = oracle
+    wal_dir = str(tmp_path / "wal")
+    state_dir = str(tmp_path / "state")
+
+    database = Database("stream", wal_dir=wal_dir)
+    pipeline = IncrementalPipeline(
+        config, StreamingConfig(), database=database, state_dir=state_dir
+    )
+    half_news, half_tweets = len(news) // 2, len(tweets) // 2
+    pipeline.append_news(news[:half_news])
+    pipeline.append_tweets(tweets[:half_tweets])
+    pipeline.cycle()
+    database.close()
+
+    recovered = Database("stream", wal_dir=wal_dir)
+    previous = obs.set_enabled(True)
+    obs.reset()
+    try:
+        resumed = IncrementalPipeline(
+            config,
+            StreamingConfig(allowed_lateness=timedelta(minutes=5)),
+            database=recovered,
+            state_dir=state_dir,
+        )
+        counters = obs.get_registry().snapshot()["metrics"]["counters"]
+    finally:
+        obs.set_enabled(previous)
+        obs.reset()
+    assert counters["streaming.checkpoint.stale"]["value"] == 1
+    assert "streaming.checkpoint.restored" not in counters
+    assert resumed.cycles_completed == 0
+    assert resumed._last_ids == {"news": 0, "tweets": 0}
+
+    resumed.append_news(news[half_news:])
+    resumed.append_tweets(tweets[half_tweets:])
+    streamed = resumed.cycle()
+    assert_bitwise_equal(batch, streamed)
     recovered.close()
