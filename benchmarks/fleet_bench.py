@@ -423,7 +423,7 @@ def run_real_fleet(duration_s: float = 1.0, seed: int = 7) -> Dict[str, object]:
             registry.load(artifact)
             service = FleetService(
                 registry,
-                ServingConfig(max_batch_size=BATCH_SIZE, max_wait_ms=2.0, timeout_s=30.0),
+                ServingConfig(max_batch_size=BATCH_SIZE, timeout_s=30.0),
                 FleetConfig(replicas=replicas),
             )
             try:

@@ -7,10 +7,11 @@ pool, a briefly trained ``MLP 1``), then drives the
 reports throughput plus p50/p95/p99 latency for two configurations:
 
 * **batched** — micro-batching on (``max_batch_size`` matched to the
-  client concurrency, so closed-loop batches fill and flush without
-  dead waits);
-* **single** — micro-batching off (``max_batch_size=1``,
-  ``max_wait_ms=0``), i.e. one forward pass per request.
+  client concurrency; the work-conserving scheduler runs whatever
+  queued during the previous forward pass, so closed-loop batches fill
+  without any flush timer);
+* **single** — micro-batching off (``max_batch_size=1``), i.e. one
+  forward pass per request.
 
 The headline number is the batched/single throughput *ratio* — a
 machine-relative speedup, stable across runner hardware — checked
@@ -384,7 +385,7 @@ def run_shaped(
         registry.load(artifact_dir)
         service = FleetService(
             registry,
-            ServingConfig(max_batch_size=BATCH_SIZE, max_wait_ms=2.0, timeout_s=30.0),
+            ServingConfig(max_batch_size=BATCH_SIZE, timeout_s=30.0),
             FleetConfig(replicas=replicas),
         )
         try:
@@ -462,10 +463,10 @@ def run_loadgen(
     failure anywhere still fails the smoke/baseline checks.
     """
     batched_config = ServingConfig(
-        max_batch_size=BATCH_SIZE, max_wait_ms=2.0, max_queue=512, timeout_s=30.0
+        max_batch_size=BATCH_SIZE, max_queue=512, timeout_s=30.0
     )
     single_config = ServingConfig(
-        max_batch_size=1, max_wait_ms=0.0, max_queue=512, timeout_s=30.0
+        max_batch_size=1, max_queue=512, timeout_s=30.0
     )
     attempts = []
     with tempfile.TemporaryDirectory(prefix="serving-loadgen-") as scratch:

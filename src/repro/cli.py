@@ -267,7 +267,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             cache_size=args.cache_size,
             max_queue=args.queue_size,
             timeout_s=args.timeout_s,
@@ -440,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default=None)
     serve.add_argument("--port", type=int, default=None)
     serve.add_argument("--max-batch-size", type=int, default=None)
-    serve.add_argument("--max-wait-ms", type=float, default=None)
     serve.add_argument("--cache-size", type=int, default=None)
     serve.add_argument("--queue-size", type=int, default=None)
     serve.add_argument("--timeout-s", type=float, default=None)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 _COST_SCALE = 10_000  # similarity -> integer cost resolution
@@ -80,6 +79,10 @@ class MinCostFlowMatcher:
         eligible = np.asarray(eligible, dtype=bool)
         if eligible.shape != sims.shape:
             raise ValueError("eligibility mask shape mismatch")
+
+        # networkx is a dev-only dependency: importing it here keeps
+        # ``import repro`` working with just the declared dependencies.
+        import networkx as nx
 
         graph = nx.DiGraph()
         source, sink = "s", "t"

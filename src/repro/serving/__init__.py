@@ -6,9 +6,10 @@ pipeline artifact into that online service (see ``docs/serving.md``):
 * :class:`ModelRegistry` / :class:`ModelVersion` — load ``Sequential``
   weights + frozen embeddings + config fingerprint from an artifact
   directory, with atomic hot-swap that never drops in-flight requests;
-* :class:`BatchScheduler` — micro-batching dispatcher (flush on
-  ``max_batch_size`` or ``max_wait_ms``, bounded-queue backpressure,
-  per-request deadlines as typed :class:`ServingError`\\ s);
+* :class:`BatchScheduler` — work-conserving micro-batching dispatcher
+  (runs whatever is queued, up to ``max_batch_size``, as soon as the
+  worker is free; bounded-queue backpressure, per-request deadlines as
+  typed :class:`ServingError`\\ s);
 * :class:`FeatureCache` — LRU cache keyed on (model version,
   token-hash) for document vectors and metadata encodings;
 * :class:`FleetService` — the online service: a replica pool (one

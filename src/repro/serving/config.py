@@ -30,6 +30,63 @@ def _env_value(name: str, cast, default):
         ) from None
 
 
+#: ``REPRO_SERVE_<name>`` -> (field, cast), per config class.
+_SERVING_ENV = {
+    "MAX_BATCH": ("max_batch_size", int),
+    "QUEUE": ("max_queue", int),
+    "CACHE": ("cache_size", int),
+    "TIMEOUT_S": ("timeout_s", float),
+    "HOST": ("host", str),
+    "PORT": ("port", int),
+}
+_FLEET_ENV = {
+    "REPLICAS": ("replicas", int),
+    "ROUTER": ("router", str),
+    "EJECT_AFTER": ("eject_after", int),
+    "PROBE_AFTER": ("probe_after", int),
+    "RATE_RPS": ("rate_limit_rps", float),
+    "RATE_BURST": ("rate_burst", float),
+    "SHED_NORMAL": ("shed_normal_fraction", float),
+    "SHED_LOW": ("shed_low_fraction", float),
+    "DEADLINE_MARGIN_MS": ("deadline_margin_ms", float),
+    "CANARY_SEED": ("canary_seed", int),
+    "CANARY_FRACTION": ("canary_fraction", float),
+    "CANARY_WINDOW": ("canary_window", int),
+    "CANARY_MAX_ERROR_RATE": ("canary_max_error_rate", float),
+    "CANARY_MAX_LATENCY_RATIO": ("canary_max_latency_ratio", float),
+    "CANARY_MAX_PREDICTION_DELTA": ("canary_max_prediction_delta", float),
+}
+
+
+def _from_env(cls, table, overrides):
+    """*cls* built from the ``REPRO_SERVE_*`` vars in *table*, then *overrides*.
+
+    A ``REPRO_SERVE_*`` variable that no config class reads is an
+    operator error (a typo, or a knob that no longer exists) and raises
+    :class:`ValueError` rather than being silently ignored.
+    """
+    unknown = sorted(
+        key
+        for key in os.environ
+        if key.startswith(ENV_PREFIX)
+        and key[len(ENV_PREFIX):] not in _SERVING_ENV
+        and key[len(ENV_PREFIX):] not in _FLEET_ENV
+    )
+    if unknown:
+        raise ValueError(
+            f"unknown environment variable(s) {', '.join(unknown)}: no serving "
+            "setting reads them (docs/serving.md lists every REPRO_SERVE_* knob)"
+        )
+    config = cls(
+        **{
+            field: _env_value(name, cast, getattr(cls, field))
+            for name, (field, cast) in table.items()
+        }
+    )
+    supplied = {k: v for k, v in overrides.items() if v is not None}
+    return replace(config, **supplied) if supplied else config
+
+
 @dataclass(frozen=True)
 class ServingConfig:
     """All tunables of one serving service instance.
@@ -41,7 +98,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_ms: float = 5.0
     max_queue: int = 256
     cache_size: int = 4096
     timeout_s: float = 5.0
@@ -54,8 +110,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.cache_size < 0:
@@ -72,17 +126,7 @@ class ServingConfig:
         Override values of ``None`` mean "not given" and fall through
         to the environment/default, so CLI flags plug in directly.
         """
-        config = cls(
-            max_batch_size=_env_value("MAX_BATCH", int, cls.max_batch_size),
-            max_wait_ms=_env_value("MAX_WAIT_MS", float, cls.max_wait_ms),
-            max_queue=_env_value("QUEUE", int, cls.max_queue),
-            cache_size=_env_value("CACHE", int, cls.cache_size),
-            timeout_s=_env_value("TIMEOUT_S", float, cls.timeout_s),
-            host=_env_value("HOST", str, cls.host),
-            port=_env_value("PORT", int, cls.port),
-        )
-        supplied = {k: v for k, v in overrides.items() if v is not None}
-        return replace(config, **supplied) if supplied else config
+        return _from_env(cls, _SERVING_ENV, overrides)
 
     def retry_policy(self, timeout_s: Optional[float] = None) -> RetryPolicy:
         """The :class:`RetryPolicy` guarding swap/load operations."""
@@ -155,35 +199,7 @@ class FleetConfig:
         explicit non-None overrides beat the environment, which beats
         the dataclass defaults.
         """
-        config = cls(
-            replicas=_env_value("REPLICAS", int, cls.replicas),
-            router=_env_value("ROUTER", str, cls.router),
-            eject_after=_env_value("EJECT_AFTER", int, cls.eject_after),
-            probe_after=_env_value("PROBE_AFTER", int, cls.probe_after),
-            rate_limit_rps=_env_value("RATE_RPS", float, cls.rate_limit_rps),
-            rate_burst=_env_value("RATE_BURST", float, cls.rate_burst),
-            shed_normal_fraction=_env_value(
-                "SHED_NORMAL", float, cls.shed_normal_fraction
-            ),
-            shed_low_fraction=_env_value("SHED_LOW", float, cls.shed_low_fraction),
-            deadline_margin_ms=_env_value(
-                "DEADLINE_MARGIN_MS", float, cls.deadline_margin_ms
-            ),
-            canary_seed=_env_value("CANARY_SEED", int, cls.canary_seed),
-            canary_fraction=_env_value("CANARY_FRACTION", float, cls.canary_fraction),
-            canary_window=_env_value("CANARY_WINDOW", int, cls.canary_window),
-            canary_max_error_rate=_env_value(
-                "CANARY_MAX_ERROR_RATE", float, cls.canary_max_error_rate
-            ),
-            canary_max_latency_ratio=_env_value(
-                "CANARY_MAX_LATENCY_RATIO", float, cls.canary_max_latency_ratio
-            ),
-            canary_max_prediction_delta=_env_value(
-                "CANARY_MAX_PREDICTION_DELTA", float, cls.canary_max_prediction_delta
-            ),
-        )
-        supplied = {k: v for k, v in overrides.items() if v is not None}
-        return replace(config, **supplied) if supplied else config
+        return _from_env(cls, _FLEET_ENV, overrides)
 
     def admission_config(self):
         """The :class:`~repro.serving.admission.AdmissionConfig` this implies."""

@@ -187,7 +187,6 @@ class Replica:
         self.scheduler = BatchScheduler(
             self._run_batch,
             max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
             max_queue=config.max_queue,
         )
 

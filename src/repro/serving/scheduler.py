@@ -1,11 +1,13 @@
 """Micro-batching dispatcher: many single-tweet requests, one forward.
 
-Requests enqueue onto a bounded deque; a single worker thread collects
-up to ``max_batch_size`` of them — waiting at most ``max_wait_ms`` after
-the first arrival — and hands the whole batch to a runner callable that
-performs one NumPy forward pass.  Per-request deadlines and queue
-capacity surface as typed :class:`~repro.serving.errors.ServingError`s,
-never as dropped requests.
+Requests enqueue onto a bounded deque; a single worker thread takes
+whatever is queued when it is free, up to ``max_batch_size``, and hands
+the whole batch to a runner callable that performs one NumPy forward
+pass.  The worker never holds a partial batch back waiting for more:
+an idle replica answers a lone request at once, and under load batches
+form from the requests that queued during the previous forward pass.
+Per-request deadlines and queue capacity surface as typed
+:class:`~repro.serving.errors.ServingError`s, never as dropped requests.
 
 Queue depth and realised batch sizes stream into ``repro.obs``
 histograms (``serving.queue_depth`` / ``serving.batch_size``) so a load
@@ -109,18 +111,14 @@ class BatchScheduler:
         self,
         runner: BatchRunner,
         max_batch_size: int = 32,
-        max_wait_ms: float = 5.0,
         max_queue: int = 256,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self._runner = runner
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_ms / 1000.0
         self.max_queue = max_queue
         self._queue: "deque[PendingRequest]" = deque()
         self._cond = threading.Condition()
@@ -185,7 +183,7 @@ class BatchScheduler:
     # -- worker --------------------------------------------------------------
 
     def _collect(self) -> Optional[List[PendingRequest]]:
-        """Wait for work, then gather one micro-batch.
+        """Wait for work, then gather whatever is queued as one micro-batch.
 
         Requests whose deadline already passed are dropped *here* —
         before they are dispatched into a batch — so an expired request
@@ -200,12 +198,12 @@ class BatchScheduler:
                 self._cond.wait()
             if not self._queue:
                 return None
-            if self.max_wait_s > 0 and not self._closed:
-                flush_at = time.perf_counter() + self.max_wait_s
-                while len(self._queue) < self.max_batch_size and not self._closed:
-                    remaining = flush_at - time.perf_counter()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        break
+        # Yield the interpreter once with the lock released: submitters
+        # that the previous batch's resolve() calls just woke enqueue
+        # their next request before the pop, so closed-loop batches stay
+        # full.  Only this thread pops, so the queue is still non-empty.
+        time.sleep(0)
+        with self._cond:
             now = time.perf_counter()
             batch: List[PendingRequest] = []
             while self._queue and len(batch) < self.max_batch_size:

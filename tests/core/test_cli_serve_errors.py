@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.core.config import small_config
 from repro.embeddings import PretrainedEmbeddings
 from repro.nn import build_paper_network
-from repro.serving import save_artifact
+from repro.serving import FleetConfig, ServingConfig, save_artifact
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,24 @@ class TestServeErrors:
         )
         assert isinstance(code, str)
         assert "invalid serving configuration" in code
+
+    def test_removed_env_knob_is_rejected(self, artifact_dir, monkeypatch):
+        """A stale ``REPRO_SERVE_MAX_WAIT_MS`` must not become a silent no-op."""
+        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "2")
+        code = _serve_error(["serve", "--artifact", artifact_dir, "--check-only"])
+        assert isinstance(code, str)
+        assert "invalid serving configuration" in code
+        assert "REPRO_SERVE_MAX_WAIT_MS" in code
+        assert "Traceback" not in code
+        with pytest.raises(ValueError, match="REPRO_SERVE_MAX_WAIT_MS"):
+            FleetConfig.from_env()
+
+    def test_known_env_knobs_still_apply(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
+        monkeypatch.setenv("REPRO_SERVE_REPLICAS", "3")
+        assert ServingConfig.from_env().max_batch_size == 8
+        assert ServingConfig.from_env(max_batch_size=4).max_batch_size == 4
+        assert FleetConfig.from_env().replicas == 3
 
     def test_serve_requires_artifact_flag(self):
         assert _serve_error(["serve"]) == 2  # argparse usage error

@@ -74,7 +74,7 @@ class TestServeHandoff:
         registry.load(serve_dir)
         service = FleetService(
             registry,
-            ServingConfig(max_batch_size=8, max_wait_ms=1),
+            ServingConfig(max_batch_size=8),
             FleetConfig(replicas=1),
         )
         client = ServingClient(service)

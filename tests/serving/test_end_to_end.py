@@ -46,7 +46,7 @@ def test_concurrent_load_with_midflight_swap(
     registry = ModelRegistry()
     registry.load(artifact_dirs[0])
     config = ServingConfig(
-        max_batch_size=PAD, max_wait_ms=4.0, max_queue=512, timeout_s=30.0
+        max_batch_size=PAD, max_queue=512, timeout_s=30.0
     )
     service = FleetService(registry, config, FleetConfig(replicas=1))
     client = ServingClient(service)
@@ -127,7 +127,7 @@ def test_served_probabilities_are_pure_functions_of_the_tweet(
     registry.load(artifact_dirs[0])
     service = FleetService(
         registry,
-        ServingConfig(max_batch_size=PAD, max_wait_ms=1.0),
+        ServingConfig(max_batch_size=PAD),
         FleetConfig(replicas=1),
     )
     client = ServingClient(service)

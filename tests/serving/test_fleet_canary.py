@@ -43,7 +43,7 @@ def _fleet(artifact_dirs, **overrides):
     knobs.update(overrides)
     return FleetService(
         registry,
-        ServingConfig(max_batch_size=8, max_wait_ms=2),
+        ServingConfig(max_batch_size=8),
         FleetConfig(**knobs),
     )
 

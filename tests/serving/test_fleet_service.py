@@ -27,7 +27,7 @@ from repro.serving import (
     ServingServer,
 )
 
-CONFIG = dict(max_batch_size=8, max_wait_ms=2)
+CONFIG = dict(max_batch_size=8)
 
 
 def _registry(artifact_dirs):

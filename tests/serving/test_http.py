@@ -25,7 +25,7 @@ def server(artifact_dirs):
     registry.load(artifact_dirs[0])
     service = FleetService(
         registry,
-        ServingConfig(max_batch_size=8, max_wait_ms=2),
+        ServingConfig(max_batch_size=8),
         FleetConfig(replicas=1),
     )
     srv = ServingServer(service, port=0).start()

@@ -12,6 +12,7 @@ from repro.serving import (
     PredictRequest,
     PredictResponse,
     QueueFull,
+    ServingConfig,
     ServingError,
 )
 
@@ -36,13 +37,13 @@ def _echo_runner(requests):
 
 class TestBatching:
     def test_single_request_round_trips(self):
-        scheduler = BatchScheduler(_echo_runner, max_batch_size=4, max_wait_ms=1)
+        scheduler = BatchScheduler(_echo_runner, max_batch_size=4)
         response = scheduler.predict(_request(7), timeout_s=5.0)
         assert response.fingerprint == "tok7"
         scheduler.close()
 
     def test_order_preserved_within_batches(self):
-        scheduler = BatchScheduler(_echo_runner, max_batch_size=8, max_wait_ms=20)
+        scheduler = BatchScheduler(_echo_runner, max_batch_size=8)
         pendings = [scheduler.submit(_request(i), timeout_s=5.0) for i in range(20)]
         responses = [p.wait(5.0) for p in pendings]
         assert [r.fingerprint for r in responses] == [f"tok{i}" for i in range(20)]
@@ -55,7 +56,7 @@ class TestBatching:
             seen.append(len(requests))
             return _echo_runner(requests)
 
-        scheduler = BatchScheduler(runner, max_batch_size=4, max_wait_ms=50)
+        scheduler = BatchScheduler(runner, max_batch_size=4)
         pendings = [scheduler.submit(_request(i), timeout_s=5.0) for i in range(10)]
         for p in pendings:
             p.wait(5.0)
@@ -65,7 +66,7 @@ class TestBatching:
 
     def test_micro_batching_coalesces_concurrent_submitters(self):
         """Many threads submitting at once -> fewer flushes than requests."""
-        scheduler = BatchScheduler(_echo_runner, max_batch_size=16, max_wait_ms=25)
+        scheduler = BatchScheduler(_echo_runner, max_batch_size=16)
         barrier = threading.Barrier(12)
         results = []
 
@@ -83,13 +84,45 @@ class TestBatching:
         assert scheduler.batches < 12
         assert scheduler.mean_batch_size > 1.0
 
-    def test_max_wait_flushes_partial_batch(self):
-        scheduler = BatchScheduler(_echo_runner, max_batch_size=64, max_wait_ms=10)
-        started = time.perf_counter()
-        scheduler.predict(_request(0), timeout_s=5.0)
-        elapsed = time.perf_counter() - started
+    def test_idle_scheduler_runs_lone_request_as_batch_of_one(self):
+        seen = []
+
+        def runner(requests):
+            seen.append(len(requests))
+            return _echo_runner(requests)
+
+        scheduler = BatchScheduler(runner, max_batch_size=64)
+        response = scheduler.predict(_request(0), timeout_s=5.0)
         scheduler.close()
-        assert elapsed < 2.0  # did not wait for 63 more requests
+        assert response.batch_rows == 1
+        assert seen == [1]
+
+    def test_requests_queued_behind_busy_worker_form_one_batch(self):
+        """A plugged worker, 12 queued requests, release -> batches [1, 12]."""
+        seen = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def plugged_runner(requests):
+            seen.append(len(requests))
+            entered.set()
+            release.wait(5.0)
+            return _echo_runner(requests)
+
+        scheduler = BatchScheduler(plugged_runner, max_batch_size=16)
+        try:
+            plug = scheduler.submit(_request(0), timeout_s=5.0)
+            assert entered.wait(5.0)
+            queued = [scheduler.submit(_request(i), timeout_s=5.0) for i in range(1, 13)]
+            release.set()
+            assert plug.wait(5.0).fingerprint == "tok0"
+            assert [p.wait(5.0).fingerprint for p in queued] == [
+                f"tok{i}" for i in range(1, 13)
+            ]
+        finally:
+            release.set()
+            scheduler.close()
+        assert seen == [1, 12]
 
 
 class TestBackpressureAndDeadlines:
@@ -101,7 +134,7 @@ class TestBackpressureAndDeadlines:
             return _echo_runner(requests)
 
         scheduler = BatchScheduler(
-            slow_runner, max_batch_size=1, max_wait_ms=0, max_queue=2
+            slow_runner, max_batch_size=1, max_queue=2
         )
         first = scheduler.submit(_request(0), timeout_s=5.0)  # occupies worker
         time.sleep(0.05)
@@ -122,7 +155,7 @@ class TestBackpressureAndDeadlines:
             return _echo_runner(requests)
 
         scheduler = BatchScheduler(
-            slow_runner, max_batch_size=1, max_wait_ms=0, max_queue=8
+            slow_runner, max_batch_size=1, max_queue=8
         )
         scheduler.submit(_request(0), timeout_s=5.0)  # occupies the worker
         time.sleep(0.05)
@@ -141,7 +174,7 @@ class TestBackpressureAndDeadlines:
             hold.wait(5.0)
             return _echo_runner(requests)
 
-        scheduler = BatchScheduler(stuck_runner, max_batch_size=1, max_wait_ms=0)
+        scheduler = BatchScheduler(stuck_runner, max_batch_size=1)
         pending = scheduler.submit(_request(0))
         with pytest.raises(DeadlineExceeded):
             pending.wait(0.05)
@@ -159,7 +192,7 @@ class TestRunnerFailures:
                 raise RuntimeError("boom")
             return _echo_runner(requests)
 
-        scheduler = BatchScheduler(flaky_runner, max_batch_size=4, max_wait_ms=5)
+        scheduler = BatchScheduler(flaky_runner, max_batch_size=4)
         with pytest.raises(ServingError, match="batch runner failed"):
             scheduler.predict(_request(0), timeout_s=5.0)
         # the worker survived and serves the next batch
@@ -170,7 +203,7 @@ class TestRunnerFailures:
         def broken_runner(requests):
             return []
 
-        scheduler = BatchScheduler(broken_runner, max_batch_size=4, max_wait_ms=1)
+        scheduler = BatchScheduler(broken_runner, max_batch_size=4)
         with pytest.raises(ServingError, match="responses"):
             scheduler.predict(_request(0), timeout_s=5.0)
         scheduler.close()
@@ -178,7 +211,7 @@ class TestRunnerFailures:
 
 class TestLifecycle:
     def test_close_drains_pending_work(self):
-        scheduler = BatchScheduler(_echo_runner, max_batch_size=4, max_wait_ms=50)
+        scheduler = BatchScheduler(_echo_runner, max_batch_size=4)
         pendings = [scheduler.submit(_request(i), timeout_s=5.0) for i in range(6)]
         scheduler.close()
         for i, pending in enumerate(pendings):
@@ -198,7 +231,10 @@ class TestLifecycle:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             BatchScheduler(_echo_runner, max_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(_echo_runner, max_wait_ms=-1)
+        # The flush timer is gone: a batch never waits for company.
+        with pytest.raises(TypeError):
+            BatchScheduler(_echo_runner, max_wait_ms=1)
+        with pytest.raises(TypeError):
+            ServingConfig(max_wait_ms=1)
         with pytest.raises(ValueError):
             BatchScheduler(_echo_runner, max_queue=0)

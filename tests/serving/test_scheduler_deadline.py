@@ -70,7 +70,7 @@ class TestQueuedDeadline:
     def test_submit_with_dead_deadline_fails_immediately(self):
         runner = _GatedEcho()
         runner.gate.set()
-        scheduler = BatchScheduler(runner, max_batch_size=4, max_wait_ms=1)
+        scheduler = BatchScheduler(runner, max_batch_size=4)
         try:
             with pytest.raises(DeadlineExceeded, match="unmeetable at submit"):
                 scheduler.submit(_request(0), timeout_s=0.0)
@@ -83,7 +83,7 @@ class TestQueuedDeadline:
     def test_expires_before_dispatch_and_runner_never_sees_it(self):
         runner = _GatedEcho()
         scheduler = BatchScheduler(
-            runner, max_batch_size=64, max_wait_ms=1, max_queue=256
+            runner, max_batch_size=64, max_queue=256
         )
         try:
             # Plug the worker: it collects this one request and blocks
@@ -121,7 +121,7 @@ class TestQueuedDeadline:
         """8 threads, exact shed/served bookkeeping, nothing lost."""
         runner = _GatedEcho()
         scheduler = BatchScheduler(
-            runner, max_batch_size=512, max_wait_ms=1, max_queue=1024
+            runner, max_batch_size=512, max_queue=1024
         )
         threads = 8
         doomed_per_thread = 6
