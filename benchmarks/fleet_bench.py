@@ -11,11 +11,9 @@ from measurement:
   virtual milliseconds per batch of ``b``), and seeded arrival traces
   from :func:`serving_loadgen.arrival_times`.  Crucially it runs the
   *real* fleet control code — :class:`repro.serving.AdmissionController`
-  (token bucket + thresholds + deadline feasibility) under a virtual
-  clock, the real :data:`repro.serving.POLICIES` routing functions, the
-  real :func:`repro.serving.estimate_wait_s` maths — so the gates
-  exercise the shipping admission/routing logic, bitwise-identically on
-  every machine.
+  (the 85% queue rule) and the real :data:`repro.serving.POLICIES`
+  routing functions — so the gates exercise the shipping
+  admission/routing logic, bitwise-identically on every machine.
 * **Real-thread measurement** (informational, ``--real``): a live
   :class:`~repro.serving.fleet.FleetService` at 1 and 4 replicas under
   closed-loop load.  Numbers are recorded for the record, never gated —
@@ -52,7 +50,6 @@ from serving_loadgen import arrival_times  # noqa: E402
 
 from repro.serving import (  # noqa: E402
     POLICIES,
-    AdmissionConfig,
     AdmissionController,
     AdmissionRejected,
 )
@@ -94,7 +91,7 @@ class _SimReplica:
 class FleetSimulator:
     """Discrete-event fleet under the fixed service-time model.
 
-    Runs the real admission controller (virtual clock) and the real
+    Runs the real admission controller and the real
     routing policy over simulated replicas.  ``autoscale`` (optional)
     is ``{"min": .., "max": .., "target_p95_ms": .., "interval_s": ..}``
     and steps the active replica count at control-interval boundaries
@@ -107,7 +104,6 @@ class FleetSimulator:
         policy: str = "least_loaded",
         max_queue: int = 256,
         timeout_s: float = 0.25,
-        rate_limit_rps: float = 0.0,
         autoscale: Optional[Dict[str, float]] = None,
     ) -> None:
         self.now = 0.0
@@ -120,10 +116,7 @@ class FleetSimulator:
         self.active = replicas
         for replica in self.replicas[replicas:]:
             replica.retired = True
-        self.admission = AdmissionController(
-            AdmissionConfig(rate_limit_rps=rate_limit_rps),
-            clock=lambda: self.now,
-        )
+        self.admission = AdmissionController()
         self.rotation = 0
         self.batch_latency_s: Optional[float] = None
         self.completions: List[Tuple[float, int, int]] = []  # (t, replica, rows)
@@ -208,12 +201,7 @@ class FleetSimulator:
             depths = [len(r.queue) for r in healthy]
             try:
                 self.admission.admit(
-                    "normal",
-                    queue_depth=min(depths),
-                    queue_capacity=self.max_queue,
-                    max_batch_size=BATCH_SIZE,
-                    batch_latency_s=self.batch_latency_s,
-                    deadline_s=self.timeout_s,
+                    queue_depth=min(depths), queue_capacity=self.max_queue
                 )
             except AdmissionRejected:
                 self.shed += 1

@@ -294,13 +294,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = FleetService(registry, config, fleet_config)
     print(
         f"fleet of {fleet_config.replicas} replicas "
-        f"(router {fleet_config.router!r}; canary endpoints enabled)"
+        f"(router {fleet_config.router!r})"
     )
     server = ServingServer(service, host=config.host, port=config.port)
     host, port = server.address
     print(
         f"serving on http://{host}:{port}  "
-        f"(POST /predict, /swap, /canary; GET /healthz, /metrics, /canary)"
+        f"(POST /predict, /swap; GET /healthz, /metrics)"
     )
     try:
         server.serve_forever()

@@ -140,8 +140,7 @@ class Histogram:
 
         Linear interpolation between order statistics, computed over the
         bounded raw series — past ``max_samples`` observations this is a
-        prefix percentile, which ``truncated`` flags.  Used by the
-        serving fleet's canary evaluator to compare latency tails.
+        prefix percentile, which ``truncated`` flags.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile q must lie in [0, 100]")

@@ -5,7 +5,8 @@ pipeline artifact into that online service (see ``docs/serving.md``):
 
 * :class:`ModelRegistry` / :class:`ModelVersion` — load ``Sequential``
   weights + frozen embeddings + config fingerprint from an artifact
-  directory, with atomic hot-swap that never drops in-flight requests;
+  directory, re-score its pinned probe rows, and hot-swap atomically
+  without dropping in-flight requests;
 * :class:`BatchScheduler` — work-conserving micro-batching dispatcher
   (runs whatever is queued, up to ``max_batch_size``, as soon as the
   worker is free; bounded-queue backpressure, per-request deadlines as
@@ -14,13 +15,13 @@ pipeline artifact into that online service (see ``docs/serving.md``):
   token-hash) for document vectors and metadata encodings;
 * :class:`FleetService` — the online service: a replica pool (one
   replica is the single-worker case) behind a pluggable
-  :class:`Router` with :class:`AdmissionController` load shedding and
-  :class:`CanaryController` canary/shadow deployments (see
+  :class:`Router`, with one :class:`AdmissionController` queue rule and
+  one deploy verb, the probe-verified :meth:`FleetService.swap` (see
   ``docs/fleet.md``);
 * :class:`ServingClient` (in-process) and :class:`ServingServer` +
   :class:`HTTPServingClient` (stdlib ``http.server`` JSON endpoints
-  ``/predict`` ``/healthz`` ``/metrics`` ``/swap`` ``/canary``), driven
-  by ``python -m repro serve``.
+  ``/predict`` ``/healthz`` ``/metrics`` ``/swap``), driven by
+  ``python -m repro serve``.
 
 Responses are **bitwise-identical** to offline
 ``Sequential.predict(X, batch_size=B, pad_to=B)`` outputs for the same
@@ -28,12 +29,7 @@ tweets: features go through the exact dataset-builder code path and
 every forward pass runs at a fixed padded row count.
 """
 
-from .admission import (
-    AdmissionConfig,
-    AdmissionController,
-    TokenBucket,
-    estimate_wait_s,
-)
+from .admission import AdmissionController
 from .artifacts import ServingArtifact, load_artifact, save_artifact
 from .cache import FeatureCache, LRUCache
 from .client import HTTPServingClient, ServingClient
@@ -50,7 +46,7 @@ from .errors import (
     ServingUnavailable,
     SwapError,
 )
-from .fleet import CanaryController, FleetService, Replica, traffic_split
+from .fleet import FleetService, Replica
 from .httpd import ServingServer
 from .registry import ModelRegistry, ModelVersion
 from .requests import DEFAULT_CREATED_AT, PredictRequest, PredictResponse
@@ -58,13 +54,11 @@ from .router import POLICIES, Router
 from .scheduler import BatchScheduler, PendingRequest
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "AdmissionRejected",
     "ArtifactError",
     "BadRequest",
     "BatchScheduler",
-    "CanaryController",
     "DEFAULT_CREATED_AT",
     "DeadlineExceeded",
     "FeatureCache",
@@ -90,9 +84,6 @@ __all__ = [
     "ServingServer",
     "ServingUnavailable",
     "SwapError",
-    "TokenBucket",
-    "estimate_wait_s",
     "load_artifact",
     "save_artifact",
-    "traffic_split",
 ]

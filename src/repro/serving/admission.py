@@ -1,236 +1,59 @@
-"""Admission control: priority classes, token bucket, deadline-aware shed.
+"""Admission control: one queue rule, checked before a request is queued.
 
-Overload protection for the serving fleet happens **at enqueue time**,
-before a request ever occupies a queue slot:
+The fleet sheds a request with a typed
+:class:`~repro.serving.errors.AdmissionRejected` (HTTP 429) when the
+least-loaded replica's queue has reached :data:`SHED_FRACTION` of its
+capacity — failing in microseconds instead of queueing work behind a
+backlog.  The scheduler's own bounded queue (``QueueFull``) and
+per-request deadline drop (``DeadlineExceeded``) stay the last lines of
+defence.
 
-* a :class:`TokenBucket` rate limiter bounds sustained request rate
-  (burst-tolerant, deterministic under an injected clock);
-* per-priority **queue thresholds** shed low-priority work first as the
-  replica queues fill (classic load shedding: ``low`` traffic is
-  rejected at 50% occupancy, ``normal`` at 85%, ``high`` rides to the
-  bound);
-* a **deadline feasibility check** rejects requests whose deadline
-  cannot be met given the current queue depth and the observed batch
-  latency — failing in microseconds instead of timing out at the queue
-  tail after burning a batch slot.
-
-Every decision increments a ``serving.fleet.admission.*`` counter, and
-every rejection is a typed :class:`~repro.serving.errors.AdmissionRejected`
-carrying its reason, so load generators can assert exact shed counts.
-The wait-estimate maths lives in :func:`estimate_wait_s` so the
-autoscaling simulation in ``benchmarks/fleet_bench.py`` exercises the
-very same admission logic under a virtual clock.
+Every decision increments a ``serving.fleet.admission.*`` counter.  The
+autoscaling simulation in ``benchmarks/fleet_bench.py`` drives this very
+class, so its committed baseline pins the rule's decisions.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from .. import obs
 from ..tools.annotations import guarded_by
-from .errors import AdmissionRejected, BadRequest
+from .errors import AdmissionRejected
 
-#: Priority classes, most to least important.  Lower rank sheds later.
-PRIORITIES: Dict[str, int] = {"high": 0, "normal": 1, "low": 2}
-
-#: Queue-occupancy fraction beyond which each class is shed.
-DEFAULT_QUEUE_THRESHOLDS: Dict[str, float] = {
-    "high": 1.0,
-    "normal": 0.85,
-    "low": 0.5,
-}
-
-
-def priority_rank(priority: str) -> int:
-    """The numeric rank of *priority* (raises :class:`BadRequest`)."""
-    try:
-        return PRIORITIES[priority]
-    except KeyError:
-        raise BadRequest(
-            f"unknown priority {priority!r}; expected one of {sorted(PRIORITIES)}"
-        ) from None
-
-
-def estimate_wait_s(
-    queue_depth: int, max_batch_size: int, batch_latency_s: float
-) -> float:
-    """Estimated completion time for a request joining a replica queue.
-
-    The request waits for every already-queued batch ahead of it, then
-    for its own batch: ``ceil((depth + 1) / B)`` flushes at the observed
-    per-flush latency.  Deliberately pessimism-free — admission sheds on
-    *provable* misses, not on noise.
-    """
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be >= 1")
-    flushes = math.ceil((queue_depth + 1) / max_batch_size)
-    return flushes * max(batch_latency_s, 0.0)
-
-
-@guarded_by("_lock", "_tokens", "_last", "granted", "denied")
-class TokenBucket:
-    """A deterministic token-bucket rate limiter.
-
-    ``rate_per_s`` tokens accrue per second up to ``burst``; each
-    admitted request spends one.  The clock is injectable so the
-    autoscaling simulation (and the admission tests) drive it with
-    virtual time and get bitwise-reproducible decisions.
-    ``rate_per_s=0`` disables the limiter (every acquire succeeds).
-    """
-
-    def __init__(
-        self,
-        rate_per_s: float,
-        burst: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if rate_per_s < 0:
-            raise ValueError("rate_per_s must be >= 0")
-        if burst <= 0:
-            raise ValueError("burst must be positive")
-        self.rate_per_s = float(rate_per_s)
-        self.burst = float(burst)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._tokens = float(burst)
-        self._last = clock()
-        self.granted = 0
-        self.denied = 0
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Spend *tokens* if available; False means shed the request."""
-        if self.rate_per_s == 0:
-            return True
-        with self._lock:
-            now = self._clock()
-            elapsed = max(0.0, now - self._last)
-            self._tokens = min(self.burst, self._tokens + elapsed * self.rate_per_s)
-            self._last = now
-            if self._tokens >= tokens:
-                self._tokens -= tokens
-                self.granted += 1
-                return True
-            self.denied += 1
-            return False
-
-    def stats(self) -> Dict[str, float]:
-        """Grant/deny counters and the current token level."""
-        with self._lock:
-            return {
-                "rate_per_s": self.rate_per_s,
-                "burst": self.burst,
-                "tokens": round(self._tokens, 6),
-                "granted": self.granted,
-                "denied": self.denied,
-            }
-
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Knobs of one :class:`AdmissionController`."""
-
-    rate_limit_rps: float = 0.0
-    rate_burst: float = 64.0
-    queue_thresholds: Dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_QUEUE_THRESHOLDS)
-    )
-    deadline_margin_s: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.rate_limit_rps < 0:
-            raise ValueError("rate_limit_rps must be >= 0")
-        if self.rate_burst <= 0:
-            raise ValueError("rate_burst must be positive")
-        if self.deadline_margin_s < 0:
-            raise ValueError("deadline_margin_s must be >= 0")
-        for priority in PRIORITIES:
-            fraction = self.queue_thresholds.get(priority)
-            if fraction is None or not 0.0 < fraction <= 1.0:
-                raise ValueError(
-                    f"queue_thresholds[{priority!r}] must lie in (0, 1], "
-                    f"got {fraction!r}"
-                )
+#: Queue-occupancy fraction at which new requests are shed.
+SHED_FRACTION = 0.85
 
 
 @guarded_by("_lock", "admitted", "shed")
 class AdmissionController:
     """Decides, per request, whether the fleet should accept the work."""
 
-    def __init__(
-        self,
-        config: Optional[AdmissionConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.config = config or AdmissionConfig()
-        self.bucket = TokenBucket(
-            self.config.rate_limit_rps, self.config.rate_burst, clock=clock
-        )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.admitted = 0
-        self.shed: Dict[str, int] = {"rate": 0, "queue": 0, "deadline": 0}
+        self.shed = 0
 
-    def _reject(self, reason: str, message: str) -> None:
-        with self._lock:
-            self.shed[reason] += 1
-        obs.counter(f"serving.fleet.admission.shed_{reason}").inc()
-        raise AdmissionRejected(message, reason=reason)
+    def admit(self, queue_depth: int, queue_capacity: int) -> None:
+        """Admit one request, or raise :class:`AdmissionRejected`.
 
-    def admit(
-        self,
-        priority: str,
-        queue_depth: int,
-        queue_capacity: int,
-        max_batch_size: int,
-        batch_latency_s: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ) -> None:
-        """Admit or shed one request (raises :class:`AdmissionRejected`).
-
-        Checks run cheapest-first: the token bucket (``high`` priority
-        is exempt — operator probes and health traffic must not starve),
-        then the priority-class queue threshold, then the deadline
-        feasibility estimate (skipped until a batch-latency observation
-        exists).
+        *queue_depth* is the shallowest healthy replica queue — the one
+        the request would join — and *queue_capacity* its bound.
         """
-        rank = priority_rank(priority)
-        if rank > PRIORITIES["high"] and not self.bucket.try_acquire():
-            self._reject(
-                "rate",
-                f"rate limit exceeded ({self.bucket.rate_per_s:.0f} rps, "
-                f"burst {self.bucket.burst:.0f}); retry with backoff",
+        if queue_depth >= SHED_FRACTION * queue_capacity:
+            with self._lock:
+                self.shed += 1
+            obs.counter("serving.fleet.admission.shed").inc()
+            raise AdmissionRejected(
+                f"queue at {queue_depth}/{queue_capacity} reached the "
+                f"{SHED_FRACTION:.0%} shed threshold; retry with backoff"
             )
-        threshold = self.config.queue_thresholds[priority]
-        if queue_capacity > 0 and queue_depth >= threshold * queue_capacity:
-            self._reject(
-                "queue",
-                f"queue at {queue_depth}/{queue_capacity} exceeds the "
-                f"{priority!r} shed threshold ({threshold:.0%})",
-            )
-        if deadline_s is not None and batch_latency_s is not None:
-            wait = estimate_wait_s(queue_depth, max_batch_size, batch_latency_s)
-            if wait + self.config.deadline_margin_s > deadline_s:
-                self._reject(
-                    "deadline",
-                    f"deadline {deadline_s * 1000.0:.1f}ms cannot be met: "
-                    f"estimated completion {wait * 1000.0:.1f}ms at queue "
-                    f"depth {queue_depth}",
-                )
         with self._lock:
             self.admitted += 1
         obs.counter("serving.fleet.admission.admitted").inc()
 
-    def stats(self) -> Dict[str, object]:
+    def stats(self) -> Dict[str, int]:
         """Admission counters for ``/metrics`` (one consistent snapshot)."""
         with self._lock:
-            admitted = self.admitted
-            shed = dict(self.shed)
-        return {
-            "admitted": admitted,
-            "shed": shed,
-            "shed_total": sum(shed.values()),
-            "rate_limiter": self.bucket.stats(),
-        }
+            return {"admitted": self.admitted, "shed": self.shed}

@@ -82,7 +82,6 @@ class ServingClient:
         vocabulary=None,
         magnitudes: Optional[Dict[str, float]] = None,
         timeout_s: Optional[float] = None,
-        priority: str = "normal",
     ) -> PredictResponse:
         """Score one tweet; blocks until its micro-batch completes."""
         request = PredictRequest.build(
@@ -92,7 +91,7 @@ class ServingClient:
             vocabulary=vocabulary,
             magnitudes=magnitudes,
         )
-        return self.service.predict(request, timeout_s=timeout_s, priority=priority)
+        return self.service.predict(request, timeout_s=timeout_s)
 
     def healthz(self) -> dict:
         """Service liveness + active model summary."""
@@ -178,7 +177,6 @@ class HTTPServingClient:
         created_at: Optional[str] = None,
         vocabulary=None,
         magnitudes: Optional[Dict[str, float]] = None,
-        priority: Optional[str] = None,
     ) -> dict:
         """POST /predict; returns the JSON response body."""
         payload: dict = {"tokens": list(tokens), "followers": followers}
@@ -188,8 +186,6 @@ class HTTPServingClient:
             payload["vocabulary"] = list(vocabulary)
         if magnitudes is not None:
             payload["magnitudes"] = dict(magnitudes)
-        if priority is not None:
-            payload["priority"] = priority
         return self._call("POST", "/predict", payload)
 
     def healthz(self) -> dict:
@@ -206,29 +202,3 @@ class HTTPServingClient:
         if expect_fingerprint is not None:
             payload["expect_fingerprint"] = expect_fingerprint
         return self._call("POST", "/swap", payload)
-
-    def canary_start(
-        self,
-        artifact: str,
-        mode: str = "canary",
-        fraction: Optional[float] = None,
-        window: Optional[int] = None,
-        expect_fingerprint: Optional[str] = None,
-    ) -> dict:
-        """POST /canary — stage a candidate on a fleet server."""
-        payload: dict = {"artifact": artifact, "mode": mode}
-        if fraction is not None:
-            payload["fraction"] = fraction
-        if window is not None:
-            payload["window"] = window
-        if expect_fingerprint is not None:
-            payload["expect_fingerprint"] = expect_fingerprint
-        return self._call("POST", "/canary", payload)
-
-    def canary_status(self) -> dict:
-        """GET /canary (idempotent: retried on connection failures)."""
-        return self._call("GET", "/canary", idempotent=True)
-
-    def canary_abort(self) -> dict:
-        """POST /canary/abort — roll back the active deployment."""
-        return self._call("POST", "/canary/abort", {})

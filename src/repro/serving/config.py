@@ -44,17 +44,6 @@ _FLEET_ENV = {
     "ROUTER": ("router", str),
     "EJECT_AFTER": ("eject_after", int),
     "PROBE_AFTER": ("probe_after", int),
-    "RATE_RPS": ("rate_limit_rps", float),
-    "RATE_BURST": ("rate_burst", float),
-    "SHED_NORMAL": ("shed_normal_fraction", float),
-    "SHED_LOW": ("shed_low_fraction", float),
-    "DEADLINE_MARGIN_MS": ("deadline_margin_ms", float),
-    "CANARY_SEED": ("canary_seed", int),
-    "CANARY_FRACTION": ("canary_fraction", float),
-    "CANARY_WINDOW": ("canary_window", int),
-    "CANARY_MAX_ERROR_RATE": ("canary_max_error_rate", float),
-    "CANARY_MAX_LATENCY_RATIO": ("canary_max_latency_ratio", float),
-    "CANARY_MAX_PREDICTION_DELTA": ("canary_max_prediction_delta", float),
 }
 
 
@@ -144,24 +133,13 @@ class FleetConfig:
 
     Layered on top of :class:`ServingConfig` (which still governs each
     replica's scheduler, cache, and timeouts); the fleet knobs cover
-    routing, health, admission control, and canary/shadow deployments.
+    pool size, routing, and replica health.
     """
 
     replicas: int = 2
     router: str = "least_loaded"
     eject_after: int = 3
     probe_after: int = 8
-    rate_limit_rps: float = 0.0
-    rate_burst: float = 64.0
-    shed_normal_fraction: float = 0.85
-    shed_low_fraction: float = 0.5
-    deadline_margin_ms: float = 5.0
-    canary_seed: int = 0
-    canary_fraction: float = 0.1
-    canary_window: int = 50
-    canary_max_error_rate: float = 0.02
-    canary_max_latency_ratio: float = 2.0
-    canary_max_prediction_delta: float = 0.02
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -170,26 +148,6 @@ class FleetConfig:
             raise ValueError("eject_after must be >= 1")
         if self.probe_after < 1:
             raise ValueError("probe_after must be >= 1")
-        if self.rate_limit_rps < 0:
-            raise ValueError("rate_limit_rps must be >= 0")
-        if self.rate_burst <= 0:
-            raise ValueError("rate_burst must be positive")
-        for name in ("shed_normal_fraction", "shed_low_fraction"):
-            fraction = getattr(self, name)
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {fraction!r}")
-        if self.deadline_margin_ms < 0:
-            raise ValueError("deadline_margin_ms must be >= 0")
-        if not 0.0 < self.canary_fraction <= 1.0:
-            raise ValueError("canary_fraction must lie in (0, 1]")
-        if self.canary_window < 1:
-            raise ValueError("canary_window must be >= 1")
-        if self.canary_max_error_rate < 0:
-            raise ValueError("canary_max_error_rate must be >= 0")
-        if self.canary_max_latency_ratio <= 0:
-            raise ValueError("canary_max_latency_ratio must be positive")
-        if self.canary_max_prediction_delta < 0:
-            raise ValueError("canary_max_prediction_delta must be >= 0")
 
     @classmethod
     def from_env(cls, **overrides) -> "FleetConfig":
@@ -200,18 +158,3 @@ class FleetConfig:
         the dataclass defaults.
         """
         return _from_env(cls, _FLEET_ENV, overrides)
-
-    def admission_config(self):
-        """The :class:`~repro.serving.admission.AdmissionConfig` this implies."""
-        from .admission import AdmissionConfig
-
-        return AdmissionConfig(
-            rate_limit_rps=self.rate_limit_rps,
-            rate_burst=self.rate_burst,
-            queue_thresholds={
-                "high": 1.0,
-                "normal": self.shed_normal_fraction,
-                "low": self.shed_low_fraction,
-            },
-            deadline_margin_s=self.deadline_margin_ms / 1000.0,
-        )

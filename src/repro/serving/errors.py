@@ -61,19 +61,11 @@ class DeadlineExceeded(ServingError):
 
 
 class AdmissionRejected(ServingError):
-    """The fleet's admission controller shed the request at enqueue time.
-
-    ``reason`` is one of ``"rate"`` (token bucket empty), ``"queue"``
-    (priority-class queue threshold crossed), or ``"deadline"`` (the
-    deadline cannot be met given current queue depth and observed batch
-    latency) — cheaper for everyone than timing out at the queue tail.
-    """
+    """The fleet shed the request at enqueue time: the shallowest replica
+    queue is too full — cheaper for everyone than timing out at the
+    queue tail."""
 
     status = 429
-
-    def __init__(self, message: str, reason: str = "queue") -> None:
-        super().__init__(message)
-        self.reason = reason
 
 
 class ReplicaFailure(ServingError):
@@ -83,7 +75,8 @@ class ReplicaFailure(ServingError):
 
 
 class SwapError(ServingError):
-    """A hot-swap was rejected (incompatible or failed candidate)."""
+    """A hot-swap was rejected (incompatible, corrupt, or probe-mismatched
+    candidate); the active version keeps serving."""
 
     status = 409
 

@@ -2,17 +2,16 @@
 
 Endpoints (see ``docs/serving.md`` for the full contract):
 
-    POST /predict       {"tokens": [...], "followers": 0, "priority": ...}
-    GET  /healthz       liveness + active model summary
-    GET  /metrics       counters, cache stats, latency percentiles
-    POST /swap          {"artifact": "<dir>"} -> hot-swap the model
-    POST /canary        {"artifact": "<dir>", "mode": "canary"|"shadow", ...}
-    GET  /canary        canary/shadow deployment status
-    POST /canary/abort  roll back the active deployment
+    POST /predict   {"tokens": [...], "followers": 0, "created_at": ...,
+                     "vocabulary": [...], "magnitudes": {...}}
+    GET  /healthz   liveness + active model summary
+    GET  /metrics   counters, cache stats, latency percentiles
+    POST /swap      {"artifact": "<dir>", "expect_fingerprint": ...}
+                    -> probe-verified hot-swap of the model
 
 Failures map to the :class:`~repro.serving.errors.ServingError`
 hierarchy's HTTP statuses with ``{"error": kind, "message": ...}``
-bodies.  The server is a ``ThreadingHTTPServer``: each connection gets
+bodies; a body key an endpoint does not read is a 400, never ignored.  The server is a ``ThreadingHTTPServer``: each connection gets
 a thread, and the micro-batching scheduler coalesces their requests.
 """
 
@@ -28,6 +27,12 @@ from .fleet import FleetService
 from .requests import PredictRequest
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB of JSON is plenty for one tweet
+
+#: The body keys each POST endpoint reads.
+_PREDICT_KEYS = frozenset(
+    {"tokens", "followers", "created_at", "vocabulary", "magnitudes"}
+)
+_SWAP_KEYS = frozenset({"artifact", "expect_fingerprint"})
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -51,7 +56,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict:
+    def _read_json(self, accepted: frozenset) -> dict:
+        """The request body as a JSON object carrying only *accepted* keys."""
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0 or length > _MAX_BODY_BYTES:
             raise BadRequest(f"request body must be 1..{_MAX_BODY_BYTES} bytes")
@@ -61,6 +67,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequest(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise BadRequest("request body must be a JSON object")
+        unknown = sorted(set(payload) - accepted)
+        if unknown:
+            raise BadRequest(
+                f"unknown key(s) {', '.join(map(repr, unknown))} in the "
+                f"{self.path} body; it reads only {sorted(accepted)}"
+            )
         return payload
 
     def _dispatch(self, handler) -> None:
@@ -77,15 +89,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(status, payload)
 
     def do_GET(self) -> None:
-        """GET /healthz, /metrics, and /canary."""
+        """GET /healthz and /metrics."""
 
         def handler() -> Tuple[int, dict]:
             if self.path == "/healthz":
                 return 200, self.service.healthz()
             if self.path == "/metrics":
                 return 200, self.service.metrics()
-            if self.path == "/canary":
-                return 200, self.service.canary_status()
             raise BadRequest(f"unknown path {self.path!r}")
 
         self._dispatch(handler)
@@ -95,7 +105,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         def handler() -> Tuple[int, dict]:
             if self.path == "/predict":
-                payload = self._read_json()
+                payload = self._read_json(_PREDICT_KEYS)
                 if "tokens" not in payload:
                     raise BadRequest("predict payload must carry 'tokens'")
                 request = PredictRequest.build(
@@ -105,12 +115,9 @@ class _Handler(BaseHTTPRequestHandler):
                     vocabulary=payload.get("vocabulary"),
                     magnitudes=payload.get("magnitudes"),
                 )
-                priority = payload.get("priority", "normal")
-                if not isinstance(priority, str):
-                    raise BadRequest("priority must be a string")
-                return 200, self.service.predict(request, priority=priority).to_json()
+                return 200, self.service.predict(request).to_json()
             if self.path == "/swap":
-                payload = self._read_json()
+                payload = self._read_json(_SWAP_KEYS)
                 artifact = payload.get("artifact")
                 if not isinstance(artifact, str) or not artifact:
                     raise BadRequest("swap payload must carry an 'artifact' path")
@@ -118,25 +125,6 @@ class _Handler(BaseHTTPRequestHandler):
                     artifact,
                     expect_fingerprint=payload.get("expect_fingerprint"),
                 )
-            if self.path == "/canary":
-                payload = self._read_json()
-                artifact = payload.get("artifact")
-                if not isinstance(artifact, str) or not artifact:
-                    raise BadRequest("canary payload must carry an 'artifact' path")
-                return 200, self.service.canary_start(
-                    artifact,
-                    mode=payload.get("mode", "canary"),
-                    fraction=payload.get("fraction"),
-                    window=payload.get("window"),
-                    expect_fingerprint=payload.get("expect_fingerprint"),
-                )
-            if self.path == "/canary/abort":
-                # Drain any (optional) body so the keep-alive stream
-                # stays aligned for the next request.
-                length = int(self.headers.get("Content-Length") or 0)
-                if 0 < length <= _MAX_BODY_BYTES:
-                    self.rfile.read(length)
-                return 200, self.service.canary_abort()
             raise BadRequest(f"unknown path {self.path!r}")
 
         self._dispatch(handler)

@@ -2,10 +2,13 @@
 
 A :class:`ModelVersion` is one immutable, ready-to-serve unit — built
 network, frozen embeddings, variant spec — identified by a monotonically
-increasing integer.  :class:`ModelRegistry` owns the *active* pointer;
-:meth:`ModelRegistry.swap` fully loads and validates a candidate before
-an atomic pointer flip, so in-flight batches keep the version object
-they resolved and no request ever observes a half-loaded model.
+increasing integer.  :class:`ModelRegistry` owns the *active* pointer.
+Every load and :meth:`ModelRegistry.swap` builds the candidate and
+re-scores the artifact's pinned probe rows outside the registry lock,
+then publishes it with an atomic pointer flip, so in-flight batches
+keep the version object they resolved, no request ever observes a
+half-loaded model, and an artifact whose weights do not reproduce its
+probes is refused while the old version keeps serving.
 """
 
 from __future__ import annotations
@@ -21,12 +24,17 @@ from .errors import ArtifactError, ModelUnavailable, SwapError
 
 
 class ModelVersion:
-    """One published model version (immutable once constructed)."""
+    """One model version, built and probe-verified from an artifact.
 
-    def __init__(self, version_id: int, artifact: ServingArtifact) -> None:
+    Immutable once published; :class:`ModelRegistry` assigns
+    ``version_id`` at the pointer flip, so a refused candidate never
+    consumes an id.
+    """
+
+    def __init__(self, artifact: ServingArtifact) -> None:
         from ..datasets.builders import variant_spec
 
-        self.version_id = version_id
+        self.version_id = 0
         self.artifact = artifact
         self.variant = artifact.variant
         self.network = artifact.network
@@ -62,7 +70,10 @@ class ModelVersion:
         from ..nn import build_paper_network
 
         clone = build_paper_network(
-            self.network, input_dim=self.input_dim, n_classes=self.n_classes
+            self.network,
+            input_dim=self.input_dim,
+            n_classes=self.n_classes,
+            dtype=self.model.dtype,
         )
         clone.build((self.input_dim,))
         shared = [
@@ -142,46 +153,30 @@ class ModelRegistry:
                 f"under a different pipeline configuration"
             )
 
-    def load(
-        self,
-        source: ArtifactSource,
-        expect_fingerprint: Optional[str] = None,
-    ) -> ModelVersion:
-        """Load *source* and publish it as the active version."""
-        artifact = self._load(source)
-        self._check_fingerprint(artifact, expect_fingerprint)
+    def _publish(self, version: ModelVersion) -> ModelVersion:
+        """Number *version* and flip the active pointer to it."""
         with self._lock:
-            version = ModelVersion(self._next_id, artifact)
+            version.version_id = self._next_id
             self._next_id += 1
             self._active = version
             self._history.append(version)
         obs.counter("serving.versions_published").inc()
         return version
 
-    def _validated_candidate(
+    def load(
         self,
         source: ArtifactSource,
-        expect_fingerprint: Optional[str],
-        site: str,
-    ) -> ServingArtifact:
-        """Load + validate a candidate artifact against the active setup."""
-        active = self.active()
-        try:
-            artifact = self._load(source, site=site)
-            self._check_fingerprint(artifact, expect_fingerprint)
-        except ArtifactError as exc:
-            obs.counter("serving.swap_failures").inc()
-            raise SwapError(f"swap rejected: {exc}") from exc
-        for attr in ("variant", "network", "input_dim", "n_classes"):
-            expected = getattr(active, attr)
-            actual = getattr(artifact, attr)
-            if expected != actual:
-                obs.counter("serving.swap_failures").inc()
-                raise SwapError(
-                    f"swap rejected: candidate {attr} {actual!r} does not "
-                    f"match the serving setup {expected!r}"
-                )
-        return artifact
+        expect_fingerprint: Optional[str] = None,
+    ) -> ModelVersion:
+        """Load, build and probe-verify *source*, then publish it.
+
+        Raises :class:`ArtifactError` for a missing, corrupt or
+        mismatched artifact, including one whose rebuilt network does
+        not reproduce its pinned probe outputs.
+        """
+        artifact = self._load(source)
+        self._check_fingerprint(artifact, expect_fingerprint)
+        return self._publish(ModelVersion(artifact))
 
     def swap(
         self,
@@ -190,57 +185,32 @@ class ModelRegistry:
     ) -> ModelVersion:
         """Hot-swap to a new version without dropping in-flight work.
 
-        The candidate is loaded, built, and compatibility-checked
-        entirely off to the side; only then does the active pointer
-        flip (a single reference assignment under the lock).  Batches
-        that already resolved the old version keep serving from it —
-        the old :class:`ModelVersion` object stays alive in history.
+        The candidate is loaded, compatibility-checked against the
+        active version, built and probe-verified entirely off to the
+        side; only then does the active pointer flip (a single reference
+        assignment under the lock).  Batches that already resolved the
+        old version keep serving from it — the old :class:`ModelVersion`
+        object stays alive in history.  Any refusal is a
+        :class:`SwapError` and leaves the active version untouched.
         """
-        artifact = self._validated_candidate(
-            source, expect_fingerprint, site="serving.swap"
-        )
-        with self._lock:
-            version = ModelVersion(self._next_id, artifact)
-            self._next_id += 1
-            self._active = version
-            self._history.append(version)
+        active = self.active()
+        try:
+            artifact = self._load(source, site="serving.swap")
+            self._check_fingerprint(artifact, expect_fingerprint)
+            for attr in ("variant", "network", "input_dim", "n_classes"):
+                expected = getattr(active, attr)
+                actual = getattr(artifact, attr)
+                if expected != actual:
+                    raise ArtifactError(
+                        f"candidate {attr} {actual!r} does not match the "
+                        f"serving setup {expected!r}"
+                    )
+            version = ModelVersion(artifact)
+        except ArtifactError as exc:
+            obs.counter("serving.swap_failures").inc()
+            raise SwapError(f"swap rejected: {exc}") from exc
+        self._publish(version)
         obs.counter("serving.swaps").inc()
-        obs.counter("serving.versions_published").inc()
-        return version
-
-    def stage(
-        self,
-        source: ArtifactSource,
-        expect_fingerprint: Optional[str] = None,
-    ) -> ModelVersion:
-        """Load + validate a candidate **without** publishing it.
-
-        The returned :class:`ModelVersion` is fully built and swap
-        compatible with the active setup, but the active pointer is
-        untouched: canary/shadow deployments serve it to a slice of
-        traffic first and only :meth:`promote` it if the metrics hold.
-        """
-        artifact = self._validated_candidate(
-            source, expect_fingerprint, site="serving.stage"
-        )
-        with self._lock:
-            version = ModelVersion(self._next_id, artifact)
-            self._next_id += 1
-        obs.counter("serving.versions_staged").inc()
-        return version
-
-    def promote(self, version: ModelVersion) -> ModelVersion:
-        """Atomically publish a previously :meth:`stage`-d version.
-
-        A single pointer flip under the lock, exactly like the tail of
-        :meth:`swap`: in-flight batches finish on the version they
-        resolved, new flushes resolve the promoted one.
-        """
-        with self._lock:
-            self._active = version
-            self._history.append(version)
-        obs.counter("serving.promotions").inc()
-        obs.counter("serving.versions_published").inc()
         return version
 
     def active(self) -> ModelVersion:

@@ -191,7 +191,7 @@ class Router:
     def min_queue_depth(self) -> Optional[int]:
         """Smallest healthy-replica queue depth (None when pool is dead).
 
-        This is the depth the admission controller's wait estimate uses:
+        This is the depth the admission controller's queue rule reads:
         under ``least_loaded`` routing it is exactly the queue the next
         admitted request would join.
         """

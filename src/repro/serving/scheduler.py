@@ -30,47 +30,29 @@ from .requests import PredictRequest, PredictResponse
 BatchRunner = Callable[[Sequence[PredictRequest]], List[PredictResponse]]
 
 
-#: Optional completion observer: ``on_done(response, error)`` — exactly
-#: one of the two is non-None.  Used by shadow deployments to record a
-#: mirrored request's outcome without anyone blocking on the handle.
-DoneCallback = Callable[[Optional[PredictResponse], Optional[BaseException]], None]
-
-
 class PendingRequest:
     """A submitted request awaiting its batch's completion."""
 
-    __slots__ = (
-        "request", "deadline", "enqueued_at", "_done", "response", "error", "on_done",
-    )
+    __slots__ = ("request", "deadline", "enqueued_at", "_done", "response", "error")
 
-    def __init__(
-        self,
-        request: PredictRequest,
-        deadline: Optional[float],
-        on_done: Optional[DoneCallback] = None,
-    ) -> None:
+    def __init__(self, request: PredictRequest, deadline: Optional[float]) -> None:
         self.request = request
         self.deadline = deadline
         self.enqueued_at = time.perf_counter()
         self._done = threading.Event()
         self.response: Optional[PredictResponse] = None
         self.error: Optional[BaseException] = None
-        self.on_done = on_done
 
     def resolve(self, response: PredictResponse) -> None:
         """Deliver the response and wake the waiting caller."""
         response.latency_ms = (time.perf_counter() - self.enqueued_at) * 1000.0
         self.response = response
         self._done.set()
-        if self.on_done is not None:
-            self.on_done(response, None)
 
     def fail(self, error: BaseException) -> None:
         """Deliver a failure and wake the waiting caller."""
         self.error = error
         self._done.set()
-        if self.on_done is not None:
-            self.on_done(None, error)
 
     def wait(self, timeout_s: Optional[float]) -> PredictResponse:
         """Block until resolved; raises the typed error on failure."""
@@ -136,20 +118,14 @@ class BatchScheduler:
     # -- submission ----------------------------------------------------------
 
     def submit(
-        self,
-        request: PredictRequest,
-        timeout_s: Optional[float] = None,
-        on_done: Optional[DoneCallback] = None,
+        self, request: PredictRequest, timeout_s: Optional[float] = None
     ) -> PendingRequest:
         """Enqueue *request*; returns a handle to wait on.
 
         Raises :class:`QueueFull` when the bounded queue is at capacity
         (backpressure — the caller should shed or retry with backoff),
         :class:`DeadlineExceeded` for an already-dead deadline, and
-        :class:`ModelUnavailable` after :meth:`close`.  *on_done* fires
-        exactly once when the request resolves or fails, on whichever
-        thread resolves it — shadow mirroring records outcomes through
-        it without blocking anybody.
+        :class:`ModelUnavailable` after :meth:`close`.
         """
         if timeout_s is not None and timeout_s <= 0:
             obs.counter("serving.timeouts").inc()
@@ -157,7 +133,7 @@ class BatchScheduler:
                 f"deadline of {timeout_s:.3f}s is already unmeetable at submit"
             )
         deadline = time.perf_counter() + timeout_s if timeout_s is not None else None
-        pending = PendingRequest(request, deadline, on_done=on_done)
+        pending = PendingRequest(request, deadline)
         with self._cond:
             if self._closed:
                 raise ModelUnavailable("scheduler is shut down")
@@ -214,8 +190,8 @@ class BatchScheduler:
                     batch.append(pending)
             self.expired += len(overdue)
         # Failing the overdue requests happens outside the lock: fail()
-        # wakes waiters and may run an on_done callback, neither of
-        # which should ever execute under the scheduler's condition.
+        # wakes waiters, which should never happen under the scheduler's
+        # condition.
         for pending in overdue:
             obs.counter("serving.timeouts").inc()
             pending.fail(

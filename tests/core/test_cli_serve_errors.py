@@ -7,7 +7,7 @@ unattended next to the §4.9 refresh loop.
 """
 
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,9 +50,8 @@ class TestServeErrors:
     def test_corrupt_metadata_json(self, artifact_dir, tmp_path):
         corrupt = tmp_path / "corrupt"
         corrupt.mkdir()
-        for name in os.listdir(artifact_dir):
-            data = open(os.path.join(artifact_dir, name), "rb").read()
-            (corrupt / name).write_bytes(data)
+        for source in Path(artifact_dir).iterdir():
+            (corrupt / source.name).write_bytes(source.read_bytes())
         (corrupt / "artifact.json").write_text("{not json", encoding="utf-8")
         code = _serve_error(["serve", "--artifact", str(corrupt), "--check-only"])
         assert isinstance(code, str)
@@ -61,9 +60,8 @@ class TestServeErrors:
     def test_truncated_weights(self, artifact_dir, tmp_path):
         broken = tmp_path / "broken"
         broken.mkdir()
-        for name in os.listdir(artifact_dir):
-            data = open(os.path.join(artifact_dir, name), "rb").read()
-            (broken / name).write_bytes(data)
+        for source in Path(artifact_dir).iterdir():
+            (broken / source.name).write_bytes(source.read_bytes())
         (broken / "weights.npz").write_bytes(b"\x00\x01trash")
         code = _serve_error(["serve", "--artifact", str(broken), "--check-only"])
         assert isinstance(code, str)
@@ -72,9 +70,8 @@ class TestServeErrors:
     def test_metadata_missing_fields(self, artifact_dir, tmp_path):
         sparse = tmp_path / "sparse"
         sparse.mkdir()
-        for name in os.listdir(artifact_dir):
-            data = open(os.path.join(artifact_dir, name), "rb").read()
-            (sparse / name).write_bytes(data)
+        for source in Path(artifact_dir).iterdir():
+            (sparse / source.name).write_bytes(source.read_bytes())
         meta = json.loads((sparse / "artifact.json").read_text())
         del meta["network"]
         (sparse / "artifact.json").write_text(json.dumps(meta))
@@ -103,15 +100,33 @@ class TestServeErrors:
         assert isinstance(code, str)
         assert "invalid serving configuration" in code
 
-    def test_removed_env_knob_is_rejected(self, artifact_dir, monkeypatch):
-        """A stale ``REPRO_SERVE_MAX_WAIT_MS`` must not become a silent no-op."""
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "2")
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "REPRO_SERVE_MAX_WAIT_MS",
+            "REPRO_SERVE_RATE_RPS",
+            "REPRO_SERVE_RATE_BURST",
+            "REPRO_SERVE_SHED_NORMAL",
+            "REPRO_SERVE_SHED_LOW",
+            "REPRO_SERVE_DEADLINE_MARGIN_MS",
+            "REPRO_SERVE_CANARY_SEED",
+            "REPRO_SERVE_CANARY_FRACTION",
+            "REPRO_SERVE_CANARY_WINDOW",
+            "REPRO_SERVE_CANARY_MAX_ERROR_RATE",
+            "REPRO_SERVE_CANARY_MAX_LATENCY_RATIO",
+            "REPRO_SERVE_CANARY_MAX_PREDICTION_DELTA",
+        ],
+        ids=lambda name: name[len("REPRO_SERVE_"):],
+    )
+    def test_removed_env_knob_is_rejected(self, artifact_dir, monkeypatch, name):
+        """A stale knob of a removed feature must not become a silent no-op."""
+        monkeypatch.setenv(name, "2")
         code = _serve_error(["serve", "--artifact", artifact_dir, "--check-only"])
         assert isinstance(code, str)
         assert "invalid serving configuration" in code
-        assert "REPRO_SERVE_MAX_WAIT_MS" in code
+        assert name in code
         assert "Traceback" not in code
-        with pytest.raises(ValueError, match="REPRO_SERVE_MAX_WAIT_MS"):
+        with pytest.raises(ValueError, match=name):
             FleetConfig.from_env()
 
     def test_known_env_knobs_still_apply(self, monkeypatch):
@@ -133,7 +148,7 @@ class TestServeSuccess:
 
     def test_check_only_accepts_matching_fingerprint(self, artifact_dir):
         meta = json.loads(
-            open(os.path.join(artifact_dir, "artifact.json"), encoding="utf-8").read()
+            (Path(artifact_dir) / "artifact.json").read_text(encoding="utf-8")
         )
         argv = [
             "serve",

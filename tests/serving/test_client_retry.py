@@ -142,4 +142,4 @@ class TestErrorBodies:
         )
         monkeypatch.setattr(urllib.request, "urlopen", transport)
         with pytest.raises(AdmissionRejected):
-            client.predict(["a"], priority="low")
+            client.predict(["a"])

@@ -1,208 +1,29 @@
-"""Admission control unit tests: token bucket, thresholds, deadlines.
+"""Admission control: the one queue rule the fleet sheds on.
 
-Everything runs under an injected fake clock, so grant/deny sequences
-and wait estimates are exact — the same property the autoscaling
-simulation in ``benchmarks/fleet_bench.py`` relies on.
+The same class drives the autoscaling simulation in
+``benchmarks/fleet_bench.py``, whose committed baseline pins its
+decisions under load.
 """
 
 import pytest
 
-from repro.serving import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionRejected,
-    BadRequest,
-    TokenBucket,
-    estimate_wait_s,
-)
-from repro.serving.admission import PRIORITIES, priority_rank
-
-
-class _Clock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
-
-
-class TestWaitEstimate:
-    def test_single_flush(self):
-        assert estimate_wait_s(0, 32, 0.01) == pytest.approx(0.01)
-        assert estimate_wait_s(31, 32, 0.01) == pytest.approx(0.01)
-
-    def test_full_batch_ahead_means_two_flushes(self):
-        assert estimate_wait_s(32, 32, 0.01) == pytest.approx(0.02)
-        assert estimate_wait_s(63, 32, 0.01) == pytest.approx(0.02)
-        assert estimate_wait_s(64, 32, 0.01) == pytest.approx(0.03)
-
-    def test_negative_latency_clamps_to_zero(self):
-        assert estimate_wait_s(10, 4, -1.0) == 0.0
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_wait_s(0, 0, 0.01)
-
-
-class TestPriorities:
-    def test_ordering(self):
-        assert priority_rank("high") < priority_rank("normal") < priority_rank("low")
-        assert set(PRIORITIES) == {"high", "normal", "low"}
-
-    def test_unknown_priority_is_bad_request(self):
-        with pytest.raises(BadRequest, match="unknown priority"):
-            priority_rank("urgent")
-
-
-class TestTokenBucket:
-    def test_deterministic_grant_deny_sequence(self):
-        clock = _Clock()
-        bucket = TokenBucket(2.0, burst=2.0, clock=clock)
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()  # burst spent, no time passed
-        clock.advance(0.5)               # 1 token accrues
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        stats = bucket.stats()
-        assert stats["granted"] == 3
-        assert stats["denied"] == 2
-
-    def test_burst_caps_accrual(self):
-        clock = _Clock()
-        bucket = TokenBucket(10.0, burst=3.0, clock=clock)
-        clock.advance(100.0)
-        assert bucket.stats()["tokens"] == 3.0  # never exceeds burst
-
-    def test_zero_rate_disables_limiting(self):
-        bucket = TokenBucket(0.0, burst=1.0, clock=_Clock())
-        for _ in range(100):
-            assert bucket.try_acquire()
-        assert bucket.stats()["granted"] == 0  # fast path, uncounted
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(-1.0, burst=1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(1.0, burst=0.0)
-
-
-class TestAdmissionConfig:
-    def test_defaults_are_valid(self):
-        config = AdmissionConfig()
-        assert config.queue_thresholds["low"] == 0.5
-
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(ValueError, match="queue_thresholds"):
-            AdmissionConfig(queue_thresholds={"high": 1.0, "normal": 0.85})
-        with pytest.raises(ValueError, match="queue_thresholds"):
-            AdmissionConfig(
-                queue_thresholds={"high": 1.5, "normal": 0.85, "low": 0.5}
-            )
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig(rate_limit_rps=-1.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(rate_burst=0.0)
+from repro.serving import AdmissionController, AdmissionRejected
+from repro.serving.admission import SHED_FRACTION
 
 
 class TestQueueThresholds:
-    def _admit(self, controller, priority, depth):
-        controller.admit(
-            priority, queue_depth=depth, queue_capacity=100, max_batch_size=32
-        )
-
-    def test_low_sheds_first(self):
-        controller = AdmissionController(clock=_Clock())
-        self._admit(controller, "low", 49)
-        with pytest.raises(AdmissionRejected) as excinfo:
-            self._admit(controller, "low", 50)
-        assert excinfo.value.reason == "queue"
-        # The same depth still admits normal and high traffic.
-        self._admit(controller, "normal", 50)
-        self._admit(controller, "high", 50)
-
     def test_normal_sheds_at_85_percent(self):
-        controller = AdmissionController(clock=_Clock())
-        self._admit(controller, "normal", 84)
-        with pytest.raises(AdmissionRejected) as excinfo:
-            self._admit(controller, "normal", 85)
-        assert excinfo.value.reason == "queue"
-        self._admit(controller, "high", 85)
-
-    def test_high_rides_to_the_bound(self):
-        controller = AdmissionController(clock=_Clock())
-        self._admit(controller, "high", 99)
-        with pytest.raises(AdmissionRejected):
-            self._admit(controller, "high", 100)
+        assert SHED_FRACTION == 0.85
+        controller = AdmissionController()
+        controller.admit(queue_depth=84, queue_capacity=100)
+        with pytest.raises(AdmissionRejected, match="85%") as excinfo:
+            controller.admit(queue_depth=85, queue_capacity=100)
+        assert excinfo.value.status == 429
 
     def test_shed_counters_are_exact(self):
-        controller = AdmissionController(clock=_Clock())
-        self._admit(controller, "normal", 0)
+        controller = AdmissionController()
+        controller.admit(queue_depth=0, queue_capacity=100)
         for _ in range(3):
             with pytest.raises(AdmissionRejected):
-                self._admit(controller, "low", 50)
-        stats = controller.stats()
-        assert stats["admitted"] == 1
-        assert stats["shed"] == {"rate": 0, "queue": 3, "deadline": 0}
-        assert stats["shed_total"] == 3
-
-
-class TestDeadlineFeasibility:
-    def test_unmeetable_deadline_is_shed(self):
-        controller = AdmissionController(clock=_Clock())
-        with pytest.raises(AdmissionRejected) as excinfo:
-            controller.admit(
-                "normal",
-                queue_depth=64,
-                queue_capacity=1000,
-                max_batch_size=32,
-                batch_latency_s=0.01,  # 3 flushes ahead -> ~30ms
-                deadline_s=0.02,
-            )
-        assert excinfo.value.reason == "deadline"
-
-    def test_feasible_deadline_is_admitted(self):
-        controller = AdmissionController(clock=_Clock())
-        controller.admit(
-            "normal",
-            queue_depth=64,
-            queue_capacity=1000,
-            max_batch_size=32,
-            batch_latency_s=0.01,
-            deadline_s=0.1,
-        )
-
-    def test_skipped_until_latency_observed(self):
-        # Before any flush there is no latency estimate: never shed on a
-        # guess, even with a microscopic deadline.
-        controller = AdmissionController(clock=_Clock())
-        controller.admit(
-            "normal",
-            queue_depth=64,
-            queue_capacity=1000,
-            max_batch_size=32,
-            batch_latency_s=None,
-            deadline_s=0.0001,
-        )
-
-
-class TestRateLimiting:
-    def test_normal_traffic_is_limited_high_is_exempt(self):
-        clock = _Clock()
-        config = AdmissionConfig(rate_limit_rps=1.0, rate_burst=1.0)
-        controller = AdmissionController(config, clock=clock)
-        controller.admit("normal", 0, 100, 32)
-        with pytest.raises(AdmissionRejected) as excinfo:
-            controller.admit("normal", 0, 100, 32)
-        assert excinfo.value.reason == "rate"
-        # high priority never spends tokens: probes must not starve.
-        for _ in range(10):
-            controller.admit("high", 0, 100, 32)
-        clock.advance(1.0)
-        controller.admit("low", 0, 100, 32)
-        assert controller.stats()["shed"]["rate"] == 1
+                controller.admit(queue_depth=90, queue_capacity=100)
+        assert controller.stats() == {"admitted": 1, "shed": 3}

@@ -14,8 +14,6 @@ import pytest
 
 from repro.resilience import faults
 from repro.serving import (
-    AdmissionRejected,
-    BadRequest,
     FleetConfig,
     FleetService,
     HTTPServingClient,
@@ -44,13 +42,12 @@ def _fleet(artifact_dirs, **overrides):
     )
 
 
-def _predict(service, record, **kwargs):
+def _predict(service, record):
     return ServingClient(service).predict(
         record.tokens,
         followers=record.followers,
         created_at=record.created_at,
         vocabulary=record.event_vocabulary,
-        **kwargs,
     )
 
 
@@ -176,31 +173,6 @@ class TestReplicaFailures:
             assert fleet.replicas[0].describe()["failed"] == 1
 
 
-class TestAdmission:
-    def test_rate_limit_sheds_normal_but_not_high(
-        self, artifact_dirs, serving_records
-    ):
-        with _fleet(
-            artifact_dirs, rate_limit_rps=0.001, rate_burst=1.0
-        ) as fleet:
-            assert _predict(fleet, serving_records[0]).model_version == 1
-            with pytest.raises(AdmissionRejected) as excinfo:
-                _predict(fleet, serving_records[1])
-            assert excinfo.value.reason == "rate"
-            # high priority bypasses the bucket entirely.
-            response = _predict(fleet, serving_records[2], priority="high")
-            assert response.model_version == 1
-            metrics = fleet.metrics()
-            assert metrics["admission"]["shed"]["rate"] == 1
-            assert metrics["errors"] == 1
-            assert metrics["responses"] == 2
-
-    def test_unknown_priority_is_bad_request(self, artifact_dirs, serving_records):
-        with _fleet(artifact_dirs) as fleet:
-            with pytest.raises(BadRequest, match="unknown priority"):
-                _predict(fleet, serving_records[0], priority="urgent")
-
-
 class TestConcurrency:
     def test_hammer_accounts_for_every_request(
         self, artifact_dirs, serving_records
@@ -257,7 +229,6 @@ class TestConcurrency:
                 "batch_latency_s",
                 "admission",
                 "router",
-                "canary",
                 "schedulers",
                 "cache",
                 "cache_hit_rate",
@@ -266,15 +237,12 @@ class TestConcurrency:
             assert metrics["replicas"] == 2
             assert len(metrics["schedulers"]) == 2
             assert metrics["batch_latency_s"] > 0.0
-            assert metrics["canary"]["state"] == "idle"
 
 
 class TestHTTPFleet:
     @pytest.fixture()
     def fleet_server(self, artifact_dirs):
-        # Disarm the wall-clock latency gate so the promote outcome is
-        # pinned by the error/delta gates alone.
-        fleet = _fleet(artifact_dirs, canary_max_latency_ratio=50.0)
+        fleet = _fleet(artifact_dirs)
         server = ServingServer(fleet, port=0).start()
         yield server
         server.stop()
@@ -289,35 +257,3 @@ class TestHTTPFleet:
         assert body["status"] == "ok"
         assert body["replicas"] == 2
         assert body["healthy_replicas"] == 2
-
-    def test_predict_accepts_priority(self, client, serving_records):
-        record = serving_records[0]
-        body = client.predict(
-            record.tokens, followers=record.followers, priority="high"
-        )
-        assert body["model_version"] == 1
-
-    def test_bad_priority_is_400(self, client, serving_records):
-        with pytest.raises(BadRequest):
-            client.predict(serving_records[0].tokens, priority="urgent")
-
-    def test_canary_lifecycle_over_http(
-        self, client, artifact_dirs, serving_records
-    ):
-        status = client.canary_start(
-            artifact_dirs[1], mode="canary", fraction=0.5, window=5
-        )
-        assert status["state"] == "canary"
-        for i in range(30):
-            if client.canary_status()["state"] == "promoted":
-                break
-            record = serving_records[i % len(serving_records)]
-            client.predict(record.tokens, followers=record.followers)
-        status = client.canary_status()
-        assert status["state"] == "promoted"
-        assert client.healthz()["model"]["version"] == 2
-
-    def test_canary_abort_over_http(self, client, artifact_dirs):
-        client.canary_start(artifact_dirs[1], mode="shadow", window=10_000)
-        status = client.canary_abort()
-        assert status["state"] == "rolled_back"

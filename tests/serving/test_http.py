@@ -125,3 +125,28 @@ class TestErrorMapping:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 409
         assert json.loads(excinfo.value.read())["error"] == "SwapError"
+
+    @pytest.mark.parametrize(
+        "path, body, message",
+        [
+            ("/predict", {"tokens": ["a"], "priority": "high"}, "'priority'"),
+            ("/predict", {"tokens": ["a"], "follower": 3}, "'follower'"),
+            ("/swap", {"artifact": "/x", "mode": "canary"}, "'mode'"),
+            ("/canary", {"artifact": "/x"}, "unknown path"),
+        ],
+        ids=["predict-priority", "predict-typo", "swap-mode", "canary-path"],
+    )
+    def test_unread_key_or_path_is_400(self, server, path, body, message):
+        """A key no endpoint reads is refused by name, never ignored."""
+        request = urllib.request.Request(
+            server.url + path,
+            data=json.dumps(body).encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        reply = json.loads(excinfo.value.read())
+        assert reply["error"] == "BadRequest"
+        assert message in reply["message"]
