@@ -103,13 +103,11 @@ class FleetSimulator:
         replicas: int,
         policy: str = "least_loaded",
         max_queue: int = 256,
-        timeout_s: float = 0.25,
         autoscale: Optional[Dict[str, float]] = None,
     ) -> None:
         self.now = 0.0
         self.policy = POLICIES[policy]
         self.max_queue = max_queue
-        self.timeout_s = timeout_s
         self.autoscale = autoscale
         limit = replicas if autoscale is None else int(autoscale["max"])
         self.replicas = [_SimReplica(i) for i in range(limit)]
@@ -118,7 +116,6 @@ class FleetSimulator:
             replica.retired = True
         self.admission = AdmissionController()
         self.rotation = 0
-        self.batch_latency_s: Optional[float] = None
         self.completions: List[Tuple[float, int, int]] = []  # (t, replica, rows)
         self.latencies: List[float] = []
         self.interval_latencies: List[float] = []
@@ -141,12 +138,6 @@ class FleetSimulator:
             self.latencies.append(latency_ms)
             self.interval_latencies.append(latency_ms)
             self.served += 1
-        observed = batch_ms(rows) / 1000.0
-        self.batch_latency_s = (
-            observed
-            if self.batch_latency_s is None
-            else 0.8 * self.batch_latency_s + 0.2 * observed
-        )
 
     def _advance(self, until: float) -> None:
         """Play out batch completions up to virtual time *until*."""

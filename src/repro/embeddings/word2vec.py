@@ -7,20 +7,15 @@ vectors W_in (the embeddings handed to callers) and output vectors W_out
 with a unigram^0.75 noise distribution and optional frequent-word
 subsampling.
 
-Two trainers share the same objective:
-
-* ``trainer="batch"`` (default) — all (center, context, negatives) pairs
-  of a sentence are encoded as index arrays up front and updated in one
-  ``(P, 1+negative, dim)`` einsum block, mirroring Gensim's batched
-  sg/cbow kernels.  **Accumulation semantics:** every pair in a sentence
-  computes its gradient against the weights as they stood at the start
-  of that sentence, and the gradients are scatter-added (``np.add.at``,
-  deterministic index order) afterwards — mini-batch SGD with one batch
-  per sentence, whereas the loop trainer is strictly sequential SGD.
-  The two reach the same loss plateau (pinned within 5% by the
-  benchmark harness) but are not bitwise interchangeable.
-* ``trainer="loop"`` — the original per-pair Python loop, kept as the
-  reference implementation for parity and regression benchmarks.
+Training is batched per sentence: all (center, context, negatives)
+pairs of a sentence are encoded as index arrays up front and updated in
+one ``(P, 1+negative, dim)`` einsum block, mirroring Gensim's batched
+sg/cbow kernels.  **Accumulation semantics:** every pair in a sentence
+computes its gradient against the weights as they stood at the start of
+that sentence, and the gradients are scatter-added (deterministic index
+order) afterwards — mini-batch SGD with one batch per sentence rather
+than strictly sequential per-pair SGD.  Its final loss is pinned within
+5% of a recorded sequential-SGD loss in the test suite.
 
 Randomness uses three decorrelated streams derived from ``seed``:
 ``W_in`` init (``default_rng(seed)``), the training stream
@@ -32,16 +27,12 @@ initialization.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-
-TRAINERS = ("batch", "loop")
-
 
 # Bounded re-draw budget when a negative sample collides with the
 # positive target; past it we derive a non-colliding index directly.
@@ -91,9 +82,6 @@ class Word2Vec:
     epochs / learning_rate / seed:
         Training-loop knobs; the learning rate decays linearly to 1e-4 of
         its initial value across all epochs.
-    trainer:
-        ``"batch"`` for the vectorized per-sentence kernel (default) or
-        ``"loop"`` for the sequential per-pair reference implementation.
     """
 
     def __init__(
@@ -107,7 +95,6 @@ class Word2Vec:
         epochs: int = 3,
         learning_rate: float = 0.025,
         seed: int = 0,
-        trainer: str = "batch",
     ) -> None:
         if vector_size < 1:
             raise ValueError("vector_size must be >= 1")
@@ -115,8 +102,6 @@ class Word2Vec:
             raise ValueError("window must be >= 1")
         if negative < 1:
             raise ValueError("negative must be >= 1")
-        if trainer not in TRAINERS:
-            raise ValueError(f"trainer must be one of {TRAINERS}, got {trainer!r}")
         self.vector_size = vector_size
         self.window = window
         self.min_count = min_count
@@ -126,7 +111,6 @@ class Word2Vec:
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
-        self.trainer = trainer
 
         self.word_to_index: Dict[str, int] = {}
         self.index_to_word: List[str] = []
@@ -211,18 +195,13 @@ class Word2Vec:
         total_steps = max(1, self.epochs * sum(len(s) for s in encoded))
         step = 0
         final_loss = 0.0
-        train_sentence = (
-            self._train_sentence_batched
-            if self.trainer == "batch"
-            else self._train_sentence_loop
-        )
         with obs.span("embeddings.word2vec.train") as train_span:
             for _epoch in range(self.epochs):
                 epoch_loss = 0.0
                 n_pairs = 0
                 for sentence in encoded:
                     sampled = self._subsample(sentence, rng)
-                    loss, pairs = train_sentence(sampled, rng, step, total_steps)
+                    loss, pairs = self._train_sentence(sampled, rng, step, total_steps)
                     epoch_loss += loss
                     n_pairs += pairs
                     step += len(sampled)
@@ -232,7 +211,6 @@ class Word2Vec:
                 vocabulary=len(self.index_to_word),
                 sentences=len(encoded),
                 epochs=self.epochs,
-                trainer=self.trainer,
                 final_loss=final_loss,
             )
         return final_loss
@@ -267,8 +245,8 @@ class Word2Vec:
         Returns ``(pos, ctx_pos, valid)`` where ``pos`` indexes centers,
         ``ctx_pos`` is the ``(n, 2*window)`` matrix of candidate context
         positions and ``valid`` masks in-bounds positions within each
-        center's per-position reduced window — the same window shrinking
-        the loop trainer applies, drawn from the same stream.
+        center's per-position reduced window (Word2Vec's usual window
+        shrinking, drawn from the training stream).
         """
         n = len(sampled)
         reduced = rng.integers(1, self.window + 1, size=n)
@@ -315,14 +293,15 @@ class Word2Vec:
             picks[rows, cols] = (exclude[rows] + 1 + shift) % n_vocab
         return picks
 
-    def _train_sentence_batched(
+    def _train_sentence(
         self, sampled: np.ndarray, rng, step: int, total_steps: int
     ) -> Tuple[float, int]:
         """One sentence as a single vectorized mini-batch update.
 
         All pairs use the learning rate at the sentence's starting step
-        (the loop trainer decays it per center position; over a sentence
-        the difference is O(len/total_steps) and vanishes at scale).
+        (sequential SGD would decay it per center position; over a
+        sentence the difference is O(len/total_steps) and vanishes at
+        scale).
         """
         n = len(sampled)
         if n < 2:
@@ -409,93 +388,6 @@ class Word2Vec:
             (-lr) * grad_h[rows] / counts[rows][:, None],
         )
         return float(loss.sum()), len(centers)
-
-    # -- loop trainer (reference implementation) -----------------------------------
-
-    def _train_sentence_loop(
-        self, sampled: np.ndarray, rng, step: int, total_steps: int
-    ) -> Tuple[float, int]:
-        """Sequential per-pair SGD over one sentence (original semantics)."""
-        loss = 0.0
-        n_pairs = 0
-        for pos, center in enumerate(sampled):
-            step += 1
-            lr = self._learning_rate_at(step, total_steps)
-            reduced = rng.integers(1, self.window + 1)
-            left = max(0, pos - reduced)
-            context = [
-                sampled[i]
-                for i in range(left, min(len(sampled), pos + reduced + 1))
-                if i != pos
-            ]
-            if not context:
-                continue
-            if self.sg:
-                for ctx in context:
-                    loss += self._train_pair(int(center), int(ctx), lr, rng)
-                    n_pairs += 1
-            else:
-                loss += self._train_cbow([int(c) for c in context], int(center), lr, rng)
-                n_pairs += 1
-        return loss, n_pairs
-
-    def _negative_samples(self, exclude: int, rng) -> np.ndarray:
-        """``negative`` noise draws avoiding *exclude*, guaranteed to halt.
-
-        Collisions are re-drawn at most ``_MAX_NEGATIVE_RETRIES`` times,
-        then replaced by a uniformly chosen other vocabulary index.  A
-        single-word vocabulary yields an empty draw (no valid negative
-        exists) — previously this case looped forever.
-        """
-        n_vocab = len(self.index_to_word)
-        if n_vocab <= 1:
-            return np.empty(0, dtype=np.int64)
-        table = self._noise_table
-        picks = table[rng.integers(0, len(table), size=self.negative)].copy()
-        for i, p in enumerate(picks):
-            retries = 0
-            while p == exclude and retries < _MAX_NEGATIVE_RETRIES:
-                p = table[rng.integers(0, len(table))]
-                retries += 1
-            if p == exclude:
-                p = (exclude + 1 + rng.integers(0, n_vocab - 1)) % n_vocab
-            picks[i] = p
-        return picks
-
-    def _train_pair(self, center: int, context: int, lr: float, rng) -> float:
-        """One skip-gram negative-sampling step; returns the pair loss."""
-        v = self.W_in[center]
-        targets = np.concatenate(([context], self._negative_samples(context, rng)))
-        labels = np.zeros(len(targets))
-        labels[0] = 1.0
-        outs = self.W_out[targets]                      # (1+neg, dim)
-        scores = _sigmoid(outs @ v)                     # (1+neg,)
-        grads = scores - labels                         # dL/dscore
-        loss = -math.log(max(scores[0], 1e-10)) - np.sum(
-            np.log(np.maximum(1.0 - scores[1:], 1e-10))
-        )
-        grad_v = grads @ outs                           # (dim,)
-        self.W_out[targets] -= lr * grads[:, np.newaxis] * v[np.newaxis, :]
-        self.W_in[center] -= lr * grad_v
-        return float(loss)
-
-    def _train_cbow(self, context: List[int], center: int, lr: float, rng) -> float:
-        """One CBOW step: mean of context vectors predicts the center."""
-        ctx = np.asarray(context)
-        h = self.W_in[ctx].mean(axis=0)
-        targets = np.concatenate(([center], self._negative_samples(center, rng)))
-        labels = np.zeros(len(targets))
-        labels[0] = 1.0
-        outs = self.W_out[targets]
-        scores = _sigmoid(outs @ h)
-        grads = scores - labels
-        loss = -math.log(max(scores[0], 1e-10)) - np.sum(
-            np.log(np.maximum(1.0 - scores[1:], 1e-10))
-        )
-        grad_h = grads @ outs
-        self.W_out[targets] -= lr * grads[:, np.newaxis] * h[np.newaxis, :]
-        self.W_in[ctx] -= lr * grad_h / len(context)
-        return float(loss)
 
     # -- lookups ----------------------------------------------------------------------
 

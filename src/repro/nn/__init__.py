@@ -16,7 +16,7 @@ from .architectures import (
 )
 from .callbacks import EarlyStopping, History
 from .contracts import ContractError, contracts_enabled
-from .dtypes import DEFAULT_DTYPE, fused_enabled, resolve_dtype
+from .dtypes import DEFAULT_DTYPE, resolve_dtype
 from .layers import Conv1D, Dense, Dropout, Flatten, Layer, MaxPool1D, Reshape
 from .losses import (
     BinaryCrossEntropy,
@@ -43,7 +43,6 @@ __all__ = [
     "contracts_enabled",
     "DEFAULT_DTYPE",
     "resolve_dtype",
-    "fused_enabled",
     "Layer",
     "Dense",
     "Conv1D",

@@ -45,9 +45,8 @@ class Activation:
         """Like :meth:`backward` but may overwrite *grad*; defaults to it.
 
         *buffer*, when given, is the owning layer's ``_buffer`` allocator
-        — activations are stateless singletons shared across layers (and
-        data-parallel replicas), so any scratch they need must live on
-        the layer that calls them.
+        — activations are stateless singletons shared across layers, so
+        any scratch they need must live on the layer that calls them.
         """
         return self.backward(grad, output)
 

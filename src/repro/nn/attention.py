@@ -20,7 +20,7 @@ import numpy as np
 
 from .activations import Softmax
 from .initializers import get_initializer
-from .layers import Dense, Flatten, Layer, Reshape
+from .layers import Dense, Layer, Reshape
 from .network import Sequential
 
 

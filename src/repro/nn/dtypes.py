@@ -14,11 +14,6 @@ module: the only supported ways to get a float32 model are the explicit
 ``Sequential(dtype="float32")`` / ``PipelineConfig.nn_dtype`` knobs or
 the ``REPRO_NN_DTYPE`` environment variable, all of which funnel
 through :func:`resolve_dtype` below.
-
-``REPRO_NN_FUSED`` (default on) toggles the fused/buffered forward and
-backward kernels; ``REPRO_NN_FUSED=0`` restores the legacy
-allocate-per-batch layer dispatch, kept both as the training-bench
-baseline and as a bitwise differential check against the fused path.
 """
 
 from __future__ import annotations
@@ -31,9 +26,6 @@ import numpy as np
 #: Environment variable selecting the compute dtype when the model does
 #: not pass one explicitly ("float32" or "float64").
 DTYPE_ENV = "REPRO_NN_DTYPE"
-
-#: Environment variable toggling the fused/buffered kernels (default on).
-FUSED_ENV = "REPRO_NN_FUSED"
 
 #: The bitwise-deterministic reference dtype.
 DEFAULT_DTYPE = np.dtype("float64")
@@ -69,16 +61,3 @@ def resolve_dtype(dtype: Optional[Union[str, np.dtype, type]] = None) -> np.dtyp
         )
     return resolved
 
-
-def fused_enabled() -> bool:
-    """True unless ``REPRO_NN_FUSED`` disables the fused/buffered kernels.
-
-    The fused kernels replay the exact ufunc/matmul sequence of the
-    legacy dispatch into preallocated buffers, so toggling this flag is
-    bitwise-neutral — it exists for the training bench's baseline
-    measurement and for differential tests.
-    """
-    flag = os.environ.get(FUSED_ENV)
-    if flag is None:
-        return True
-    return flag.strip().lower() not in ("0", "false", "")

@@ -7,15 +7,10 @@ and dropout.  Each layer implements ``forward(x, training)`` and
 parameter gradients), and exposes ``parameters()`` as (name, param, grad)
 triples for the optimizer.
 
-Two compute paths share each layer:
-
-* the **legacy dispatch** (``REPRO_NN_FUSED=0``) allocates fresh arrays
-  per batch — simple, and the baseline the training bench measures
-  against;
-* the **fused path** (default) replays the exact same matmul/ufunc
-  sequence into per-layer buffers reused across batches, so it is
-  bitwise identical to the legacy path while eliminating the per-batch
-  allocation churn that dominates small-batch training.
+Forward and backward are fused kernels: each layer writes its matmuls
+and ufuncs into per-layer buffers reused across batches, so
+small-batch training does not churn through per-batch allocations.
+``tests/golden/training.json`` pins the float64 results.
 
 Parameters are allocated in the dtype ``Sequential.build`` threads in
 (``layer.dtype``, float64 by default; see :mod:`repro.nn.dtypes`).
@@ -23,13 +18,13 @@ Parameters are allocated in the dtype ``Sequential.build`` threads in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import contracts
 from .activations import Activation, Softmax, get_activation
-from .dtypes import FAST_DTYPE, fused_enabled
+from .dtypes import FAST_DTYPE
 from .initializers import get_initializer
 
 
@@ -44,10 +39,10 @@ class Layer:
     (``m<uid>.g<generation>.L<index>``); optimizers key per-parameter
     state by it so state cannot silently attach to the wrong array when
     ``id()`` values are reused.  ``dtype`` is the compute dtype build
-    threads in.  ``_buffers`` holds the fused path's reusable scratch
-    arrays, keyed by role and reallocated only on shape/dtype change.
+    threads in.  ``_buffers`` holds the reusable scratch arrays, keyed
+    by role and reallocated only on shape/dtype change.
     ``need_input_grad`` (set by ``Sequential.build``) is False when no
-    trainable layer sits below this one, letting the fused backward skip
+    trainable layer sits below this one, letting backward skip
     producing an input gradient nothing will consume; it defaults to
     True so standalone layers keep full behaviour.
     """
@@ -96,18 +91,6 @@ class Layer:
             self._buffers[role] = buf
         return buf
 
-    def reset_transient(self) -> None:
-        """Drop cached activations and scratch buffers.
-
-        Used when cloning thread-local replicas for data-parallel fit:
-        a replica must share parameters but never forward/backward
-        caches with its source layer.
-        """
-        self._buffers = {}
-        for attr in ("_x", "_out", "_cols", "_argmax", "_mask", "_cache"):
-            if hasattr(self, attr):
-                setattr(self, attr, None)
-
 
 class Dense(Layer):
     """Fully connected layer: y = activation(x W + b).
@@ -150,13 +133,8 @@ class Dense(Layer):
 
     def forward(self, x, training=False):
         self._x = x
-        if not fused_enabled():
-            z = x @ self.W + self.b
-            self._out = self.activation.forward(z)
-            return self._out
-        # Fused: matmul into the reusable pre-activation buffer, add the
-        # bias and activate in place — the identical op sequence, minus
-        # the two intermediate temporaries.
+        # Matmul into the reusable pre-activation buffer, add the bias
+        # and activate in place: no intermediate temporaries.
         z = self._buffer("z", (x.shape[0], self.units), self.W.dtype)
         np.matmul(x, self.W, out=z)
         z += self.b
@@ -164,13 +142,7 @@ class Dense(Layer):
         return self._out
 
     def backward(self, grad):
-        if not fused_enabled():
-            if not isinstance(self.activation, Softmax):
-                grad = self.activation.backward(grad, self._out)
-            # else: grad already includes the fused softmax+CE derivative.
-            self.dW[...] = self._x.T @ grad
-            self.db[...] = grad.sum(axis=0)
-            return grad @ self.W.T
+        # A softmax grad already includes the fused softmax+CE derivative.
         if not isinstance(self.activation, Softmax):
             grad = self.activation.backward_inplace(
                 grad, self._out, buffer=self._buffer
@@ -244,40 +216,14 @@ class Conv1D(Layer):
     def output_shape(self, input_shape):
         return (self._out_length(input_shape[0]), self.filters)
 
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        """(batch, out_len, kernel, ch) sliding-window view of contiguous *x*."""
-        batch, length, channels = x.shape
-        out_len = self._out_length(length)
-        strides = x.strides
-        return np.lib.stride_tricks.as_strided(
-            x,
-            shape=(batch, out_len, self.kernel_size, channels),
-            strides=(strides[0], strides[1] * self.stride, strides[1], strides[2]),
-            writeable=False,
-        )
-
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        """(batch, length, ch) -> (batch, out_len, kernel*ch) window unroll."""
-        batch, length, channels = x.shape
-        out_len = self._out_length(length)
-        return self._windows(x).reshape(batch, out_len, self.kernel_size * channels)
-
     def forward(self, x, training=False):
         self._x_shape = x.shape
-        if not fused_enabled():
-            cols = self._im2col(np.ascontiguousarray(x))
-            self._cols = cols
-            kernel = self.W.reshape(self.kernel_size * x.shape[2], self.filters)
-            z = cols @ kernel + self.b
-            self._out = self.activation.forward(z)
-            return self._out
         x = np.ascontiguousarray(x)
         batch, length, channels = x.shape
         out_len = self._out_length(length)
-        # im2col into the reusable unroll buffer instead of a fresh
-        # reshape-copy every batch.  One big slice copy per kernel offset
-        # beats a single 4D strided copyto, whose innermost loop is only
-        # ``channels`` elements wide.
+        # im2col into the reusable unroll buffer.  One big slice copy per
+        # kernel offset beats a single 4D strided copyto, whose innermost
+        # loop is only ``channels`` elements wide.
         cols = self._buffer(
             "cols", (batch, out_len, self.kernel_size * channels), self.W.dtype
         )
@@ -288,9 +234,7 @@ class Conv1D(Layer):
         self._cols = cols
         kernel = self.W.reshape(self.kernel_size * channels, self.filters)
         z = self._buffer("z", (batch, out_len, self.filters), self.W.dtype)
-        # One flat GEMM over (batch*out_len) rows; each output element is
-        # the same kernel_size*channels-term dot product the batched 3D
-        # matmul computes, in the same order.
+        # One flat GEMM over (batch*out_len) rows.
         np.matmul(
             cols.reshape(-1, self.kernel_size * channels),
             kernel,
@@ -305,25 +249,6 @@ class Conv1D(Layer):
         out_len = grad.shape[1]
         kernel = self.W.reshape(self.kernel_size * channels, self.filters)
         positions = np.arange(out_len) * self.stride
-
-        if not fused_enabled():
-            grad = self.activation.backward(grad, self._out)
-            # Parameter gradients from the unrolled windows.
-            cols_flat = self._cols.reshape(-1, self.kernel_size * channels)
-            grad_flat = grad.reshape(-1, self.filters)
-            self.dW[...] = (cols_flat.T @ grad_flat).reshape(self.W.shape)
-            self.db[...] = grad_flat.sum(axis=0)
-            # Input gradient: scatter each window's contribution back.
-            # For a fixed kernel offset k the target positions are
-            # unique, so plain fancy-index addition applies (np.add.at
-            # would be ~50x slower).
-            dcols = grad @ kernel.T  # (batch, out_len, kernel*ch)
-            dcols = dcols.reshape(batch, out_len, self.kernel_size, channels)
-            dx = np.zeros((batch, length, channels))
-            for k in range(self.kernel_size):
-                dx[:, positions + k] += dcols[:, :, k]
-            return dx
-
         grad = self.activation.backward_inplace(
             grad, self._out, buffer=self._buffer
         )
@@ -345,6 +270,9 @@ class Conv1D(Layer):
         dcols4 = dcols.reshape(batch, out_len, self.kernel_size, channels)
         dx = self._buffer("dx", (batch, length, channels), self.W.dtype)
         dx.fill(0.0)
+        # Scatter each window's contribution back.  For a fixed kernel
+        # offset k the target positions are unique, so plain fancy-index
+        # addition applies (np.add.at would be ~50x slower).
         for k in range(self.kernel_size):
             dx[:, positions + k] += dcols4[:, :, k]
         return dx
@@ -374,9 +302,6 @@ class MaxPool1D(Layer):
         out_len = length // self.pool_size
         trimmed = x[:, : out_len * self.pool_size]
         windows = trimmed.reshape(batch, out_len, self.pool_size, channels)
-        if not fused_enabled():
-            self._argmax = windows.argmax(axis=2)
-            return windows.max(axis=2)
         out = self._buffer("out", (batch, out_len, channels), x.dtype)
         if self.pool_size == 2:
             # argmax over a size-2 strided axis is one of numpy's worst
@@ -400,16 +325,11 @@ class MaxPool1D(Layer):
     def backward(self, grad):
         batch, length, channels = self._x_shape
         out_len = length // self.pool_size
-        if not fused_enabled():
-            dx = np.zeros((batch, out_len, self.pool_size, channels))
-        else:
-            dx = self._buffer(
-                "dx", (batch, out_len, self.pool_size, channels), grad.dtype
-            )
-            if self._argmax.dtype != np.bool_:
-                dx.fill(0.0)  # the scatter only writes the winning slots
+        dx = self._buffer(
+            "dx", (batch, out_len, self.pool_size, channels), grad.dtype
+        )
         if self._argmax.dtype == np.bool_:
-            # pool_size == 2 fused path: route grad to the winning slot
+            # pool_size == 2: route grad to the winning slot
             # with three elementwise passes instead of the (much slower)
             # put_along_axis scatter.  ``grad * winner`` parks ``-0.0``
             # in losing slots when grad is negative, so ``+ 0.0``
@@ -423,6 +343,7 @@ class MaxPool1D(Layer):
             np.subtract(grad, dx1, out=dx0)  # winners: grad-grad = +0.0
             np.add(dx1, 0.0, out=dx1)
         else:
+            dx.fill(0.0)  # the scatter only writes the winning slots
             np.put_along_axis(
                 dx,
                 self._argmax[:, :, np.newaxis, :],
@@ -518,16 +439,12 @@ class Dropout(Layer):
             self._rng = np.random.default_rng(self.seed)
         self.built = True
 
-    def reseed(self, seed_source: Union[int, np.random.SeedSequence]) -> None:
-        """Replace the mask stream (data-parallel fit reseeds per chunk)."""
-        self._rng = np.random.default_rng(seed_source)
-
     def forward(self, x, training=False):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        if fused_enabled() and x.dtype == FAST_DTYPE:
+        if x.dtype == FAST_DTYPE:
             # Single-precision fast path (tolerance-only, never pinned):
             # keep the mask as booleans with a separate 1/keep scale — no
             # float mask materialisation.  The uniforms are still drawn
@@ -545,14 +462,12 @@ class Dropout(Layer):
             out *= 1.0 / keep
             return out
         # float64 reference: this exact draw/compare/divide sequence is
-        # what the determinism pins and worker-invariance are stated
+        # what the determinism pins and the golden values are stated
         # against — do not reorder.
         mask = ((self._rng.random(x.shape) < keep) / keep).astype(
             x.dtype, copy=False
         )
         self._mask = mask
-        if not fused_enabled():
-            return x * mask
         out = self._buffer("out", x.shape, x.dtype)
         np.multiply(x, mask, out=out)
         return out
@@ -564,7 +479,5 @@ class Dropout(Layer):
             np.multiply(grad, self._mask, out=grad)
             grad *= 1.0 / (1.0 - self.rate)
             return grad
-        if not fused_enabled():
-            return grad * self._mask
         np.multiply(grad, self._mask, out=grad)
         return grad

@@ -4,194 +4,32 @@ Ties layers, loss, and optimizer together with mini-batch training, early
 stopping, validation tracking, and epoch timing (the Table-10 scalability
 study reports milliseconds per epoch).
 
-Three training paths share the same weights and contracts:
+Two training paths share the same weights and contracts:
 
-* the default single-worker float64 path — the bitwise-deterministic
-  reference every pin is stated against;
+* the default float64 path — the bitwise-deterministic reference every
+  pin is stated against, including the committed values in
+  ``tests/golden/training.json``;
 * the opt-in float32 path (``Sequential(dtype="float32")`` or
-  ``REPRO_NN_DTYPE=float32``) — tolerance-comparable, roughly 2-3x
-  faster on the Table-8/9 models (see ``benchmarks/training_bench.py``);
-* data-parallel ``fit(workers=k)`` — each mini-batch is split into a
-  *fixed* number of gradient chunks (``grad_chunks``, independent of
-  worker count), per-chunk gradients are computed on thread-local
-  replicas sharing the parameter arrays, and combined in chunk order
-  with weights ``n_chunk / n_batch`` before a single optimizer step.
-  Because the chunking, the combination order, and the per-chunk
-  Dropout streams depend only on (batch, step, chunk index), results
-  are **worker-count invariant**: workers ∈ {1, 2, 4} produce bitwise
-  identical float64 weights (mirroring the ``repro.parallel``
-  contract).  The chunked sum is a different floating-point association
-  than the single-batch path, so ``workers=None`` (the default) keeps
-  the legacy whole-batch reference behaviour.
+  ``REPRO_NN_DTYPE=float32``) — tolerance-comparable to float64 and
+  never pinned bitwise.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..parallel import chunked
 from .callbacks import EarlyStopping, History
 from .contracts import check_fit, check_predict
 from .dtypes import resolve_dtype
-from .layers import Dropout, Layer
+from .layers import Layer
 from .losses import Loss, get_loss
 from .metrics import accuracy
 from .optimizers import Optimizer, get_optimizer
-
-#: Gradient chunks per mini-batch in data-parallel fit.  Fixed (rather
-#: than derived from the worker count) so the combined update is
-#: invariant to how many workers execute the chunks.
-DEFAULT_GRAD_CHUNKS = 4
-
-
-def _clone_layer(layer: Layer) -> Layer:
-    """A shallow training replica of *layer*.
-
-    Parameters are **shared** (same arrays, so optimizer updates are
-    visible everywhere); gradients and forward/backward caches are
-    private so concurrent backward passes cannot race.
-    """
-    clone = copy.copy(layer)
-    clone.reset_transient()
-    for name, _param, grad in layer.parameters():
-        setattr(clone, "d" + name, np.zeros_like(grad))
-    return clone
-
-
-class _DataParallelTrainer:
-    """Per-chunk gradient computation behind ``Sequential.fit(workers=k)``.
-
-    One replica model per worker; each mini-batch is split into
-    ``grad_chunks`` contiguous chunks (``repro.parallel.chunked``, so
-    the split depends only on the batch size), chunks are processed in
-    fixed contiguous groups by the replicas, and the resulting per-chunk
-    gradients are averaged **centrally in chunk order** — the floating
-    point sum never depends on thread scheduling or worker count.
-    """
-
-    def __init__(self, model: "Sequential", workers: int, grad_chunks: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if grad_chunks < 1:
-            raise ValueError("grad_chunks must be >= 1")
-        self.model = model
-        self.grad_chunks = grad_chunks
-        n_replicas = min(workers, grad_chunks)
-        self._replicas = [self._replicate(model) for _ in range(n_replicas)]
-        self._pool = (
-            ThreadPoolExecutor(max_workers=n_replicas) if n_replicas > 1 else None
-        )
-        self._step = 0
-
-    @staticmethod
-    def _replicate(model: "Sequential") -> "Sequential":
-        """A forward/backward-capable clone sharing the model's weights."""
-        replica = copy.copy(model)
-        replica.optimizer = None
-        replica.layers = [_clone_layer(layer) for layer in model.layers]
-        return replica
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _seed_dropouts(self, replica: "Sequential", step: int, chunk: int) -> None:
-        """Give every Dropout a stream derived from (seed, step, chunk, layer).
-
-        The stream is a pure function of the chunk's position in the
-        training schedule, never of which worker runs it — the mask a
-        chunk sees is therefore worker-count invariant.
-        """
-        for index, layer in enumerate(replica.layers):
-            if isinstance(layer, Dropout) and layer.rate > 0.0:
-                layer.reseed(
-                    np.random.SeedSequence(
-                        entropy=self.model.seed, spawn_key=(step, chunk, index)
-                    )
-                )
-
-    def _run_group(
-        self,
-        replica: "Sequential",
-        chunk_ids: Sequence[int],
-        chunks: List[np.ndarray],
-        X: np.ndarray,
-        Y: np.ndarray,
-        step: int,
-    ) -> List[Tuple[int, int, float, List[np.ndarray]]]:
-        """Gradients for one replica's contiguous group of chunks."""
-        loss = self.model.loss
-        results = []
-        for chunk_id in chunk_ids:
-            rows = chunks[chunk_id]
-            self._seed_dropouts(replica, step, chunk_id)
-            predicted = replica._forward(X[rows])
-            loss_value = loss.value(predicted, Y[rows])
-            replica._backward(loss.gradient(predicted, Y[rows]))
-            grads = [
-                grad.copy()
-                for layer in replica.layers
-                for _name, _param, grad in layer.parameters()
-            ]
-            results.append((chunk_id, len(rows), loss_value, grads))
-        return results
-
-    def train_on_batch(self, X: np.ndarray, Y: np.ndarray) -> float:
-        """One deterministic averaged optimizer step over the batch."""
-        model = self.model
-        if model.loss is None or model.optimizer is None:
-            raise RuntimeError("model not compiled")
-        obs.counter("nn.train_batches").inc()
-        step = self._step
-        self._step += 1
-        n = len(X)
-        chunks = chunked(np.arange(n), self.grad_chunks)
-        groups = chunked(list(range(len(chunks))), len(self._replicas))
-        if self._pool is None or len(groups) == 1:
-            grouped = [
-                self._run_group(self._replicas[gi], group, chunks, X, Y, step)
-                for gi, group in enumerate(groups)
-            ]
-        else:
-            futures = [
-                self._pool.submit(
-                    self._run_group, self._replicas[gi], group, chunks, X, Y, step
-                )
-                for gi, group in enumerate(groups)
-            ]
-            grouped = [future.result() for future in futures]
-
-        flat = sorted(
-            (result for group in grouped for result in group),
-            key=lambda item: item[0],
-        )
-        accumulators = [
-            grad
-            for layer in model.layers
-            for _name, _param, grad in layer.parameters()
-        ]
-        for grad in accumulators:
-            grad.fill(0.0)
-        total_loss = 0.0
-        for _chunk_id, n_rows, loss_value, grads in flat:
-            weight = n_rows / n
-            total_loss += loss_value * n_rows
-            for accumulator, chunk_grad in zip(accumulators, grads):
-                accumulator += weight * chunk_grad
-        for layer in model.layers:
-            params = layer.parameters()
-            if params:
-                model.optimizer.step(params, owner=layer.handle)
-        return total_loss / n
 
 
 class Sequential:
@@ -251,7 +89,7 @@ class Sequential:
             layer.dtype = self.dtype
             # A layer only has to produce an input gradient if some
             # trainable layer below it will consume it; the bottom of
-            # the stack skips that work (fused path only).
+            # the stack skips that work.
             layer.need_input_grad = params_below
             layer.build(shape, rng)
             shape = layer.output_shape(shape)
@@ -362,8 +200,6 @@ class Sequential:
         shuffle: bool = True,
         verbose: bool = False,
         track_accuracy: bool = True,
-        workers: Optional[int] = None,
-        grad_chunks: Optional[int] = None,
     ) -> History:
         """Mini-batch training with optional validation and early stopping.
 
@@ -374,14 +210,6 @@ class Sequential:
         in proportion to its size.  Pass ``track_accuracy=False`` to
         skip the per-epoch full-train accuracy pass — the scalability
         benchmarks do this so ``epoch_ms`` measures training alone.
-
-        ``workers=k`` enables data-parallel gradient computation: each
-        batch is split into ``grad_chunks`` fixed chunks (default
-        ``DEFAULT_GRAD_CHUNKS``) whose gradients are averaged in
-        deterministic chunk order before one optimizer step, so any
-        worker count produces identical results (see the module
-        docstring).  ``workers=None`` keeps the whole-batch reference
-        path.
         """
         X = np.asarray(X, dtype=self.dtype)
         Y = np.asarray(Y, dtype=self.dtype)
@@ -392,65 +220,47 @@ class Sequential:
         if self._input_shape is None:
             self.build(X.shape[1:])
 
-        trainer: Optional[_DataParallelTrainer] = None
-        if workers is not None:
-            trainer = _DataParallelTrainer(
-                self, workers, grad_chunks or DEFAULT_GRAD_CHUNKS
-            )
-
         rng = np.random.default_rng(self.seed + 7)
         history = History()
         indices = np.arange(len(X))
-        try:
-            with obs.span("nn.fit") as fit_span:
-                for epoch in range(epochs):
-                    started = time.perf_counter()
-                    if shuffle:
-                        rng.shuffle(indices)
-                    epoch_loss = 0.0
-                    for start in range(0, len(X), batch_size):
-                        batch_idx = indices[start:start + batch_size]
-                        if trainer is not None:
-                            batch_loss = trainer.train_on_batch(
-                                X[batch_idx], Y[batch_idx]
-                            )
-                        else:
-                            batch_loss = self.train_on_batch(
-                                X[batch_idx], Y[batch_idx]
-                            )
-                        epoch_loss += batch_loss * len(batch_idx)
-                    elapsed_ms = (time.perf_counter() - started) * 1000.0
+        with obs.span("nn.fit") as fit_span:
+            for epoch in range(epochs):
+                started = time.perf_counter()
+                if shuffle:
+                    rng.shuffle(indices)
+                epoch_loss = 0.0
+                for start in range(0, len(X), batch_size):
+                    batch_idx = indices[start:start + batch_size]
+                    batch_loss = self.train_on_batch(X[batch_idx], Y[batch_idx])
+                    epoch_loss += batch_loss * len(batch_idx)
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-                    record = {
-                        "loss": epoch_loss / len(X),
-                        "epoch_ms": elapsed_ms,
-                    }
-                    if track_accuracy:
-                        record["accuracy"] = accuracy(Y, self.predict(X))
-                    if validation_data is not None:
-                        vx, vy = validation_data
-                        vp = self.predict(np.asarray(vx, dtype=self.dtype))
-                        record["val_loss"] = self.loss.value(
-                            vp, np.asarray(vy, dtype=self.dtype)
-                        )
-                        record["val_accuracy"] = accuracy(vy, vp)
-                    history.record(**record)
-                    if verbose:
-                        msg = ", ".join(f"{k}={v:.4f}" for k, v in record.items())
-                        print(f"epoch {epoch + 1}/{epochs}: {msg}")
-                    if early_stopping is not None and early_stopping.update(history):
-                        break
-                fit_span.annotate(
-                    epochs=history.epochs,
-                    samples=len(X),
-                    batch_size=batch_size,
-                    parameters=self.num_parameters,
-                    final_loss=history.last("loss"),
-                    workers=workers or 0,
-                )
-        finally:
-            if trainer is not None:
-                trainer.close()
+                record = {
+                    "loss": epoch_loss / len(X),
+                    "epoch_ms": elapsed_ms,
+                }
+                if track_accuracy:
+                    record["accuracy"] = accuracy(Y, self.predict(X))
+                if validation_data is not None:
+                    vx, vy = validation_data
+                    vp = self.predict(np.asarray(vx, dtype=self.dtype))
+                    record["val_loss"] = self.loss.value(
+                        vp, np.asarray(vy, dtype=self.dtype)
+                    )
+                    record["val_accuracy"] = accuracy(vy, vp)
+                history.record(**record)
+                if verbose:
+                    msg = ", ".join(f"{k}={v:.4f}" for k, v in record.items())
+                    print(f"epoch {epoch + 1}/{epochs}: {msg}")
+                if early_stopping is not None and early_stopping.update(history):
+                    break
+            fit_span.annotate(
+                epochs=history.epochs,
+                samples=len(X),
+                batch_size=batch_size,
+                parameters=self.num_parameters,
+                final_loss=history.last("loss"),
+            )
         return history
 
     def evaluate(self, X: np.ndarray, Y: np.ndarray) -> Tuple[float, float]:

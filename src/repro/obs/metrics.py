@@ -16,7 +16,8 @@ corrupt the totals.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Optional
 
 from ..tools.annotations import guarded_by, lock_alias
 
@@ -87,10 +88,12 @@ class Gauge:
 class Histogram:
     """A stream of observations with summary stats and a bounded series.
 
-    Beyond count/sum/min/max/mean, the first ``max_samples`` raw values
+    Beyond count/sum/min/max/mean, the newest ``max_samples`` raw values
     are retained in order so per-epoch traces (loss, accuracy, epoch
-    milliseconds) survive into the exported snapshot; past the cap the
-    summary stats keep updating and ``truncated`` flips to True.
+    milliseconds) survive into the exported snapshot and percentiles
+    follow current traffic; past the cap the oldest values are dropped,
+    the summary stats keep covering every observation, and
+    ``truncated`` flips to True.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "series", "max_samples", "_lock")
@@ -108,7 +111,7 @@ class Histogram:
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self.series: List[float] = []
+        self.series: Deque[float] = deque(maxlen=max_samples)
         self.max_samples = max_samples
         self._lock = lock or threading.RLock()
 
@@ -120,8 +123,7 @@ class Histogram:
             self.total += value
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
-            if len(self.series) < self.max_samples:
-                self.series.append(value)
+            self.series.append(value)
 
     @property
     def mean(self) -> Optional[float]:
@@ -131,7 +133,7 @@ class Histogram:
 
     @property
     def truncated(self) -> bool:
-        """True when the raw series stopped growing at ``max_samples``."""
+        """True when the oldest observations have left the raw series."""
         with self._lock:
             return self.count > len(self.series)
 
@@ -139,8 +141,9 @@ class Histogram:
         """The *q*-th percentile of the retained series (None when empty).
 
         Linear interpolation between order statistics, computed over the
-        bounded raw series — past ``max_samples`` observations this is a
-        prefix percentile, which ``truncated`` flags.
+        bounded raw series — past ``max_samples`` observations this is the
+        percentile of the newest ``max_samples`` values, which
+        ``truncated`` flags.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile q must lie in [0, 100]")

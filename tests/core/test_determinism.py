@@ -112,20 +112,17 @@ class TestWord2VecStreams:
     CORPUS = [["vote", "party", "poll", "vote"], ["party", "poll", "vote"]] * 20
 
     def test_same_seed_is_bitwise_identical(self):
-        def run(trainer):
+        def run():
             from repro.embeddings import Word2Vec
 
-            model = Word2Vec(
-                vector_size=8, min_count=1, epochs=2, seed=SEED, trainer=trainer
-            )
+            model = Word2Vec(vector_size=8, min_count=1, epochs=2, seed=SEED)
             model.train(self.CORPUS)
             return model
 
-        for trainer in ("batch", "loop"):
-            a, b = run(trainer), run(trainer)
-            assert np.array_equal(a.W_in, b.W_in), trainer
-            assert np.array_equal(a.W_out, b.W_out), trainer
-            assert np.array_equal(a._noise_table, b._noise_table), trainer
+        a, b = run(), run()
+        assert np.array_equal(a.W_in, b.W_in)
+        assert np.array_equal(a.W_out, b.W_out)
+        assert np.array_equal(a._noise_table, b._noise_table)
 
     def test_noise_table_not_drawn_from_init_stream(self):
         from repro.embeddings import Word2Vec

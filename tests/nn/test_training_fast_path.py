@@ -1,15 +1,11 @@
-"""The raw-speed training pass: dtype knob, fused kernels, data-parallel fit.
+"""The raw-speed training pass: the dtype knob and float32 parity.
 
-Four contracts from the training fast path land here:
+Two contracts from the training fast path land here (the float64
+results themselves are pinned by ``test_training_golden.py``):
 
 * dtype resolution — explicit ``Sequential(dtype=...)`` beats
   ``REPRO_NN_DTYPE`` beats the float64 default, and float32 threads
   through parameters, activations and predictions;
-* the fused/buffered kernels (``REPRO_NN_FUSED``, default on) are
-  **bitwise identical** to the legacy allocate-per-batch dispatch;
-* ``fit(workers=k)`` is worker-count invariant: any k produces bitwise
-  identical float64 weights because gradients are combined in fixed
-  chunk order;
 * float32 training tracks the float64 reference within tolerance at
   Table-8 scale (it is never pinned bitwise).
 
@@ -31,7 +27,7 @@ from repro.nn import (
     one_hot,
     resolve_dtype,
 )
-from repro.nn.dtypes import DTYPE_ENV, FUSED_ENV
+from repro.nn.dtypes import DTYPE_ENV
 from repro.nn.optimizers import SGD
 
 
@@ -100,28 +96,6 @@ class TestDtypeResolution:
             for layer in model.layers
             for _n, p, _g in layer.parameters()
         )
-
-
-class TestFusedDifferential:
-    """REPRO_NN_FUSED only changes allocation, never a single bit."""
-
-    @pytest.mark.parametrize("network", ["MLP 1", "CNN 1"])
-    def test_fused_matches_legacy_bitwise(self, network, monkeypatch):
-        X, Y = _data(n=128, dim=20)
-
-        def train(fused):
-            monkeypatch.setenv(FUSED_ENV, "1" if fused else "0")
-            model = build_paper_network(
-                network, input_dim=20, n_classes=3, seed=9
-            )
-            model.fit(X, Y, epochs=3, batch_size=32)
-            return _weights(model), model.predict(X)
-
-        fused_w, fused_p = train(True)
-        legacy_w, legacy_p = train(False)
-        for a, b in zip(fused_w, legacy_w):
-            assert np.array_equal(a, b)
-        assert np.array_equal(fused_p, legacy_p)
 
 
 class TestOptimizerRebuildState:
@@ -236,36 +210,6 @@ class TestEpochLossWeighting:
         assert history.metrics["loss"][0] == expected
         # The old per-batch mean is a genuinely different number here.
         assert history.metrics["loss"][0] != (l1 + l2) / 2
-
-
-class TestWorkerCountInvariance:
-    """fit(workers=k) must be bitwise invariant in k (float64)."""
-
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_workers_1_2_4_bitwise_identical(self, dropout):
-        X, Y = _data(n=80, dim=16)
-        results = {}
-        for workers in (1, 2, 4):
-            model = _mlp(seed=13, dropout=dropout)
-            model.fit(X, Y, epochs=2, batch_size=32, workers=workers)
-            results[workers] = _weights(model)
-        for workers in (2, 4):
-            for a, b in zip(results[1], results[workers]):
-                assert np.array_equal(a, b), (
-                    f"workers={workers} diverged from workers=1"
-                )
-
-    def test_data_parallel_trains(self):
-        X, Y = _data(n=96, dim=10)
-        model = _mlp(seed=2)
-        history = model.fit(X, Y, epochs=8, batch_size=32, workers=2)
-        assert history.metrics["loss"][-1] < history.metrics["loss"][0]
-
-    def test_worker_validation(self):
-        X, Y = _data(n=16, dim=4)
-        model = _mlp()
-        with pytest.raises(ValueError, match="workers"):
-            model.fit(X, Y, epochs=1, batch_size=8, workers=0)
 
 
 class TestFloat32Parity:

@@ -78,7 +78,7 @@ class TestHistogram:
         assert h.min == 1.0
         assert h.max == 3.0
         assert h.mean == 2.0
-        assert h.series == [3.0, 1.0, 2.0]
+        assert list(h.series) == [3.0, 1.0, 2.0]
         assert not h.truncated
 
     def test_empty_histogram(self):
@@ -90,11 +90,23 @@ class TestHistogram:
         h = Histogram("loss", max_samples=3)
         for value in range(5):
             h.observe(float(value))
-        assert h.series == [0.0, 1.0, 2.0]
+        assert list(h.series) == [2.0, 3.0, 4.0]
         assert h.truncated
         assert h.count == 5
         assert h.max == 4.0
         assert h.to_dict()["truncated"] is True
+
+    def test_percentile_follows_the_newest_samples(self):
+        # A regression after warm-up must move p95: the series keeps the
+        # newest max_samples values, not the first ones.
+        h = Histogram("latency_ms")
+        for _ in range(10_000):
+            h.observe(1.0)
+        for _ in range(4096):
+            h.observe(100.0)
+        assert h.percentile(95) == 100.0
+        assert h.truncated
+        assert h.count == 14_096
 
     def test_negative_max_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +117,7 @@ class TestHistogram:
         h.observe(1.0)
         exported = h.to_dict()
         exported["series"].append(99.0)
-        assert h.series == [1.0]
+        assert list(h.series) == [1.0]
 
 
 class TestNullTwins:
