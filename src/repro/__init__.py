@@ -31,6 +31,10 @@ Subpackages
     Online inference: model registry with hot-swap, micro-batching
     scheduler, feature cache, stdlib HTTP endpoints (``repro serve``).
 
+The names exported here (``build_world``, ``NewsDiffusionPipeline``,
+...) are resolved on first use, so ``import repro`` alone — and any
+subpackage such as ``repro.serving`` — loads only what it needs.
+
 Quickstart
 ----------
 >>> from repro import build_world, NewsDiffusionPipeline, small_config
@@ -39,17 +43,44 @@ Quickstart
 >>> print(result.summary())                        # doctest: +SKIP
 """
 
-from .core import (
-    AudienceInterestPredictor,
-    NewsDiffusionPipeline,
-    PipelineConfig,
-    PipelineResult,
-    small_config,
-)
-from .datagen import World, WorldConfig, build_world
-from .parallel import parallel_map
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core import (
+        AudienceInterestPredictor,
+        NewsDiffusionPipeline,
+        PipelineConfig,
+        PipelineResult,
+        small_config,
+    )
+    from .datagen import World, WorldConfig, build_world
+    from .parallel import parallel_map
 
 __version__ = "1.0.0"
+
+_LAZY = {
+    "parallel_map": "repro.parallel",
+    "NewsDiffusionPipeline": "repro.core",
+    "PipelineResult": "repro.core",
+    "PipelineConfig": "repro.core",
+    "small_config": "repro.core",
+    "AudienceInterestPredictor": "repro.core",
+    "World": "repro.datagen",
+    "WorldConfig": "repro.datagen",
+    "build_world": "repro.datagen",
+}
+
+
+def __getattr__(name: str):
+    """Resolve the lazily exported pipeline names (PEP 562)."""
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
 
 __all__ = [
     "parallel_map",

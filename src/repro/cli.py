@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline's stages so each piece can be driven
 standalone, the way the paper's deployed modules ran on a 2-hour cycle
-(§4.9):
+(§4.9).  Each command imports the layers it drives, so ``repro serve``
+never loads the pipeline:
 
     python -m repro generate   --articles 800 --tweets 3000 --out data/
     python -m repro topics     --data data/ --n-topics 12
@@ -20,17 +21,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import obs
-from .core import AudienceInterestPredictor, NewsDiffusionPipeline
-from .core.config import PipelineConfig
-from .datagen import UserPopulation, World, WorldConfig, build_world
-from .store import Database
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core.config import PipelineConfig
+    from .datagen import World
 
 
 def _world_from_snapshot(directory: str, store_shards: Optional[int] = None) -> World:
-    from .store import CollectionNotFound
+    from .datagen import UserPopulation, World, WorldConfig
+    from .store import CollectionNotFound, Database
 
     database = Database("news_diffusion", shard_count=store_shards)
     try:
@@ -65,6 +67,8 @@ def _world_from_snapshot(directory: str, store_shards: Optional[int] = None) -> 
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    from .core.config import PipelineConfig
+
     return PipelineConfig(
         n_topics=args.n_topics,
         n_news_events=args.news_events,
@@ -93,6 +97,8 @@ def _checkpoint_kwargs(args: argparse.Namespace) -> dict:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Handle the ``generate`` subcommand."""
+    from .datagen import WorldConfig, build_world
+
     world = build_world(
         WorldConfig(
             n_articles=args.articles,
@@ -109,6 +115,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_topics(args: argparse.Namespace) -> int:
     """Handle the ``topics`` subcommand."""
+    from .core import NewsDiffusionPipeline
+
     world = _world_from_snapshot(args.data, store_shards=args.store_shards)
     pipeline = NewsDiffusionPipeline(_pipeline_config(args))
     nmf = pipeline.extract_news_topics(pipeline.preprocess_news_tm(world))
@@ -119,6 +127,8 @@ def cmd_topics(args: argparse.Namespace) -> int:
 
 def cmd_events(args: argparse.Namespace) -> int:
     """Handle the ``events`` subcommand."""
+    from .core import NewsDiffusionPipeline
+
     world = _world_from_snapshot(args.data, store_shards=args.store_shards)
     pipeline = NewsDiffusionPipeline(_pipeline_config(args))
     if args.medium == "news":
@@ -134,6 +144,8 @@ def cmd_events(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Handle the ``run`` subcommand."""
+    from .core import NewsDiffusionPipeline
+
     world = _world_from_snapshot(args.data, store_shards=args.store_shards)
     result = NewsDiffusionPipeline(_pipeline_config(args)).run(
         world, **_checkpoint_kwargs(args)
@@ -147,6 +159,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Handle the ``predict`` subcommand."""
+    from .core import AudienceInterestPredictor, NewsDiffusionPipeline
+
     world = _world_from_snapshot(args.data, store_shards=args.store_shards)
     result = NewsDiffusionPipeline(_pipeline_config(args)).run(
         world, **_checkpoint_kwargs(args)

@@ -31,7 +31,7 @@ from ..datasets import train_validation_split
 from ..datasets.splits import Split
 from ..nn import EarlyStopping, accuracy, build_paper_network, one_hot
 from ..resilience import faults
-from ..resilience.checkpoint import atomic_write, config_fingerprint
+from ..resilience.atomic import atomic_write, config_fingerprint
 from ..store import Database
 from .config import PipelineConfig
 from .prediction import N_CLASSES

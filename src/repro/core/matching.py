@@ -16,7 +16,7 @@ Implementation: integer min-cost flow on a bipartite network via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from datetime import timedelta
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .. import obs
 from ..datagen import World
@@ -23,7 +23,6 @@ from ..parallel import parallel_map
 from ..embeddings import PretrainedEmbeddings
 from ..events import MABED, Event, TimestampedDocument
 from ..resilience import RetryPolicy, faults
-from ..resilience.checkpoint import CheckpointStore
 from ..text import (
     is_stopword,
     preprocess_for_event_detection,
@@ -37,6 +36,12 @@ from .correlation import CorrelationModule, CorrelationResult
 from .features import FeatureCreationModule, TweetRecord
 from .prediction import AudienceInterestPredictor, TrainingOutcome
 from .trending import TrendingNewsModule, TrendingNewsTopic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # Imported where used: the checkpoint store's stage codecs import
+    # this package's data model, so a module-level import here makes
+    # ``import repro.resilience.checkpoint`` circular.
+    from ..resilience.checkpoint import CheckpointStore
 
 
 @dataclass
@@ -427,6 +432,8 @@ class NewsDiffusionPipeline:
         world: World,
         checkpoint_dir: Optional[Union[str, CheckpointStore]],
     ) -> Optional[CheckpointStore]:
+        from ..resilience.checkpoint import CheckpointStore
+
         if checkpoint_dir is None:
             return None
         if isinstance(checkpoint_dir, CheckpointStore):

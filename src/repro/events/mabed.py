@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from datetime import timedelta
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..parallel import parallel_map

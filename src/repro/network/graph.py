@@ -15,7 +15,7 @@ a group's center are *influencers*, nodes that like/retweet are
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Set
 
 import numpy as np
 

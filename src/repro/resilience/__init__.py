@@ -13,6 +13,11 @@ Three cooperating pieces (see ``docs/resilience.md``):
   harness (:class:`FaultPlan`, ``REPRO_FAULTS``) that doubles as the
   test substrate for the other two.
 
+Under the checkpoint store sits :mod:`~repro.resilience.atomic`, the
+stdlib-only primitive (``atomic_write``, :func:`config_fingerprint`)
+that the repo's on-disk state is written and fingerprinted with;
+serving imports it without loading the stage codecs.
+
 ``checkpoint``/``codecs`` are imported lazily (PEP 562): they pull in
 the dataset/event model, which itself uses :mod:`repro.parallel`, and
 ``parallel`` needs :func:`repro.resilience.faults.inject` at chunk
@@ -21,6 +26,7 @@ boundaries — eager imports here would complete that cycle.
 
 from typing import TYPE_CHECKING
 
+from .atomic import config_fingerprint
 from .faults import (
     FAULTS_ENV,
     FatalFault,
@@ -45,13 +51,12 @@ from .retry import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .checkpoint import CheckpointError, CheckpointStore, config_fingerprint
+    from .checkpoint import CheckpointError, CheckpointStore
     from .codecs import CodecError, decode_stage, encode_stage
 
 _LAZY = {
     "CheckpointError": ("repro.resilience.checkpoint", "CheckpointError"),
     "CheckpointStore": ("repro.resilience.checkpoint", "CheckpointStore"),
-    "config_fingerprint": ("repro.resilience.checkpoint", "config_fingerprint"),
     "CodecError": ("repro.resilience.codecs", "CodecError"),
     "decode_stage": ("repro.resilience.codecs", "decode_stage"),
     "encode_stage": ("repro.resilience.codecs", "encode_stage"),

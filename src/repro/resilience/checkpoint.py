@@ -11,22 +11,22 @@ serialized (via :mod:`repro.resilience.codecs`) under a run directory::
         stages/<stage>.npz     # numeric arrays (only when present)
 
 Staleness is handled by **content fingerprinting**: the manifest records
-a SHA-256 over the serialized :class:`~repro.core.config.PipelineConfig`
-(result-neutral knobs such as ``workers`` and the retry settings are
-excluded), the store format version, and an optional *world key* (corpus
-sizes and time range).  Opening a store whose manifest fingerprint
-differs invalidates every stored stage, so a resumed run can never mix
-outputs computed under different parameters.
+:func:`~repro.resilience.atomic.config_fingerprint`, a SHA-256 over the
+serialized :class:`~repro.core.config.PipelineConfig` (result-neutral
+knobs such as ``workers`` and the retry settings are excluded), the
+store format version, and an optional *world key* (corpus sizes and
+time range).  Opening a store whose manifest fingerprint differs
+invalidates every stored stage, so a resumed run can never mix outputs
+computed under different parameters.
 
-Writes are atomic (temp file + ``os.replace``) and the manifest is
-rewritten after every stage, so a run killed mid-stage leaves only
-completed stages behind — exactly what resume wants.
+Writes are atomic (:func:`~repro.resilience.atomic.atomic_write`: temp
+file + ``os.replace``) and the manifest is rewritten after every stage,
+so a run killed mid-stage leaves only completed stages behind — exactly
+what resume wants.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import tempfile
@@ -35,64 +35,12 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from .. import obs
+from .atomic import CHECKPOINT_VERSION, atomic_write, config_fingerprint
 from .codecs import decode_stage, encode_stage
-
-CHECKPOINT_VERSION = 1
-
-#: PipelineConfig fields that cannot change stage outputs; excluded from
-#: the fingerprint so e.g. raising the worker count or retry budget does
-#: not throw away valid checkpoints.
-RESULT_NEUTRAL_FIELDS = frozenset(
-    {
-        "workers",
-        "retry_attempts",
-        "retry_base_delay_s",
-        "retry_max_delay_s",
-        "stage_timeout_s",
-    }
-)
 
 
 class CheckpointError(RuntimeError):
     """Raised for missing stages or corrupt checkpoint directories."""
-
-
-def config_fingerprint(config: Any, world_key: Optional[str] = None) -> str:
-    """SHA-256 fingerprint of *config* (a dataclass) plus *world_key*.
-
-    Only result-affecting fields participate (see
-    :data:`RESULT_NEUTRAL_FIELDS`); the store version is mixed in so a
-    format bump invalidates old directories by construction.
-    """
-    if dataclasses.is_dataclass(config):
-        fields = dataclasses.asdict(config)
-    elif isinstance(config, dict):
-        fields = dict(config)
-    else:
-        raise TypeError(f"cannot fingerprint {type(config).__name__}")
-    fields = {
-        k: v for k, v in sorted(fields.items()) if k not in RESULT_NEUTRAL_FIELDS
-    }
-    payload = json.dumps(
-        {"version": CHECKPOINT_VERSION, "config": fields, "world": world_key},
-        sort_keys=True,
-        default=str,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def atomic_write(path: str, data: bytes) -> None:
-    """Write *data* to *path* via a same-directory temp file + rename."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class CheckpointStore:

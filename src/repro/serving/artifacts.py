@@ -40,7 +40,7 @@ import numpy as np
 from ..datasets.builders import variant_spec
 from ..embeddings import PretrainedEmbeddings
 from ..nn import Sequential, build_paper_network, resolve_dtype
-from ..resilience.checkpoint import atomic_write, config_fingerprint
+from ..resilience.atomic import atomic_write, config_fingerprint
 from .errors import ArtifactError
 
 ARTIFACT_VERSION = 2

@@ -18,7 +18,7 @@ shard count.
 into the owning shard's WAL *before* it is applied; checkpoints
 serialize a shard's documents to ``shard<k>/checkpoint.json`` via the
 temp-file + ``os.replace`` discipline of
-:func:`repro.resilience.checkpoint.atomic_write`, then compact the WAL
+:func:`repro.resilience.atomic.atomic_write`, then compact the WAL
 down to the records newer than the checkpoint's LSN watermark.  A killed
 process recovers to exactly the acknowledged-write prefix: torn WAL
 tails are discarded, replay is idempotent by LSN, and a crash anywhere
@@ -72,6 +72,7 @@ from typing import (
 
 from .. import obs
 from ..resilience import faults
+from ..resilience.atomic import atomic_write
 from ..tools.annotations import guarded_by
 from .aggregate import run_pipeline
 from .collection import Cursor
@@ -820,10 +821,6 @@ class ShardedCollection:
     def _write_manifest(self) -> None:
         if not self._durable:
             return
-        # Same atomic temp-file + rename discipline as the resilience
-        # checkpoint store (imported from it, not reimplemented).
-        from ..resilience.checkpoint import atomic_write
-
         with self._lock:
             payload = {
                 "version": ENGINE_VERSION,

@@ -18,7 +18,7 @@ strictly sequential.
 
 Compaction rewrites the log with only the records newer than a
 checkpoint's LSN watermark, using the same temp-file + ``os.replace``
-discipline as :func:`repro.resilience.checkpoint.atomic_write`, so a
+discipline as :func:`repro.resilience.atomic.atomic_write`, so a
 crash during compaction leaves either the old complete log or the new
 complete log — never a hybrid.
 

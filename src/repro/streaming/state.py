@@ -38,7 +38,7 @@ import numpy as np
 
 from .. import obs
 from ..resilience import faults
-from ..resilience.checkpoint import atomic_write, config_fingerprint
+from ..resilience.atomic import atomic_write, config_fingerprint
 from ..resilience.codecs import decode_stage, encode_stage
 
 STATE_VERSION = 1

@@ -9,7 +9,7 @@ terms define a topic (the standard convention).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 from scipy import sparse

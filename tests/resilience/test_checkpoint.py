@@ -17,11 +17,8 @@ from repro.core.trending import TrendingNewsTopic
 from repro.datasets import Dataset, EventTweet
 from repro.embeddings import PretrainedEmbeddings
 from repro.events import Event, TimestampedDocument
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    config_fingerprint,
-)
+from repro.resilience.atomic import config_fingerprint
+from repro.resilience.checkpoint import CheckpointError, CheckpointStore
 from repro.resilience.codecs import CodecError, decode_stage, encode_stage
 from repro.topics import NMFResult, Topic
 
