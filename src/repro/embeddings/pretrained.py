@@ -8,7 +8,11 @@ offline, so :class:`PretrainedEmbeddings` provides the same *interface*
 drives the SW/RND/SWM distinction in §4.7) built from one of
 
 * LSA over a background corpus (semantically structured vectors — the
-  stand-in both pipelines use, see :meth:`lsa_from_matrix`),
+  stand-in both pipelines use, see :meth:`lsa_from_matrix`).  The
+  decomposition is one dense ``eigh`` of the V × V term Gram matrix
+  (:func:`term_components`), not a truncated SVD of the much wider
+  terms × documents matrix, and each component's sign is fixed (its
+  largest-magnitude entry is positive), so the vectors are deterministic,
 * a trained :class:`Word2Vec` model (:meth:`from_word2vec`), or
 * deterministic hash-seeded Gaussian vectors (fast, collision-free, used
   by unit tests and as a filler for background-corpus gaps).
@@ -21,7 +25,7 @@ to be missing from the "pretrained" model.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +43,29 @@ def hash_vector(word: str, dim: int, salt: int = 0) -> np.ndarray:
     v = rng.standard_normal(dim)
     norm = np.linalg.norm(v)
     return v / norm if norm > 0 else v
+
+
+def term_components(matrix, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Top-*k* left singular pairs ``(U, S)`` of the terms × docs matrix.
+
+    *matrix* is documents × terms (a :class:`DocumentTermMatrix`'s
+    ``matrix``).  The left singular vectors of its transpose are the
+    eigenvectors of the V × V term Gram matrix ``matrixᵀ · matrix`` and
+    the singular values are the square roots of its eigenvalues, so one
+    dense ``eigh`` on V × V replaces a truncated SVD.  Eigenvalues at or
+    below ``V · eps · λ_max`` are rounding noise of the null space and
+    count as zero, so those directions add exactly nothing.  Each
+    component's sign is fixed so that its largest-magnitude entry
+    (the first one on a tie) is positive.
+    """
+    gram = (matrix.T @ matrix).toarray()
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    eigenvalues = eigenvalues[::-1][:k]
+    U = eigenvectors[:, ::-1][:, :k]
+    floor = gram.shape[0] * np.finfo(np.float64).eps * max(eigenvalues[0], 0.0)
+    S = np.sqrt(np.where(eigenvalues > floor, eigenvalues, 0.0))
+    pivots = U[np.abs(U).argmax(axis=0), np.arange(k)]
+    return U * np.where(pivots < 0, -1.0, 1.0), S
 
 
 class PretrainedEmbeddings:
@@ -89,11 +116,14 @@ class PretrainedEmbeddings:
         """Fast background embeddings via LSA over a TFIDF term-doc matrix.
 
         Word2Vec training is the faithful route but costs minutes on large
-        corpora; truncated SVD of the term-document matrix yields word
-        vectors with the same property the pipeline needs — terms of the
-        same topic land close together — in a few seconds.  Vectors are
-        unit-normalized and zero-padded up to *dim* when the corpus rank
-        is smaller.
+        corpora; the leading left singular vectors of the term-document
+        matrix, taken from an ``eigh`` of its term Gram matrix (see
+        :meth:`lsa_from_matrix`), yield word vectors with the same
+        property the pipeline needs — terms of the same topic land close
+        together — in well under a second.  Vectors are unit-normalized
+        and zero-padded up to *dim* when the corpus rank is smaller.
+        *seed* only salts the hash-vector fallback for a corpus too small
+        to decompose.
         """
         from ..text.vocabulary import Vocabulary
         from ..weighting.matrix import DocumentTermMatrix
@@ -117,39 +147,37 @@ class PretrainedEmbeddings:
         Both pipelines call this through
         :func:`repro.core.pipeline.background_embeddings`: the batch one
         builds the matrix from documents, the streaming one from cached
-        counts, and the SVD path is shared so the two stay bitwise equal.
+        counts, and the decomposition is shared so the two stay bitwise
+        equal.  The term components come from :func:`term_components`
+        (term Gram matrix plus ``eigh``, each component's sign fixed so
+        its largest-magnitude entry is positive), so the result is
+        deterministic.  *seed* only salts the hash vectors of the
+        fallback used when the matrix is too small to decompose.
         """
         if not 0.0 < coverage <= 1.0:
             raise ValueError("coverage must lie in (0, 1]")
-        import numpy as _np
-        from scipy.sparse.linalg import svds
-
         vocabulary = dtm.vocabulary
         if len(vocabulary) == 0:
             return cls({}, dim)
-        terms_by_docs = dtm.matrix.T.tocsc().astype(float)
         # Request one extra component: the dominant singular direction is
         # a corpus-wide "mean" shared by every word, which would make all
         # keyword-set averages nearly parallel (cosine ~ 1 between any two
         # topics).  Dropping it ("all-but-the-top" postprocessing) restores
         # discriminative cosines, as with published word embeddings.
-        k = min(dim + 1, min(terms_by_docs.shape) - 1)
+        k = min(dim + 1, min(dtm.matrix.shape) - 1)
         if k < 1:
             vectors = {w: hash_vector(w, dim, seed) for w in vocabulary.terms()}
             return cls(vectors, dim)
-        rng = np.random.default_rng(seed)
-        U, S, _Vt = svds(terms_by_docs, k=k, v0=rng.random(min(terms_by_docs.shape)))
-        order = _np.argsort(-S)
-        U, S = U[:, order], S[order]
+        U, S = term_components(dtm.matrix, k)
         if k > 1:
             U, S = U[:, 1:], S[1:]  # drop the dominant shared component
         k = S.size
         word_matrix = U * S
         if k < dim:
-            word_matrix = _np.hstack(
-                [word_matrix, _np.zeros((word_matrix.shape[0], dim - k))]
+            word_matrix = np.hstack(
+                [word_matrix, np.zeros((word_matrix.shape[0], dim - k))]
             )
-        norms = _np.linalg.norm(word_matrix, axis=1, keepdims=True)
+        norms = np.linalg.norm(word_matrix, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         word_matrix = word_matrix / norms
         vectors = {

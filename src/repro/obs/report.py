@@ -53,6 +53,9 @@ def _span_lines(
         child_prefix = f"{prefix}{'    ' if is_last else '│   '}"
     label = f"{connector}{node.get('name', '?')}"
     timing = f"{_format_seconds(wall)} wall  {_format_seconds(cpu)} cpu  {share}"
+    growth = node.get("peak_rss_growth_mb")
+    if growth is not None:
+        timing = f"{timing:<36}  {growth:+7.1f}MB peak"
     lines.append(f"{label:<48} {timing}".rstrip())
     meta = node.get("meta")
     if meta:

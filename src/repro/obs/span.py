@@ -14,15 +14,35 @@ env lookup and two no-op calls, nothing more.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Any, Dict, List, Optional
+
+try:
+    import resource
+except ImportError:  # not a Unix: no getrusage, no peak-memory attribution
+    resource = None  # type: ignore[assignment]
+
+#: ``ru_maxrss`` units per MB: kilobytes on Linux, bytes on macOS.
+_MAXRSS_PER_MB = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+
+
+def _maxrss() -> int:
+    """The process's resident-set high-water mark, in ``ru_maxrss`` units."""
+    if resource is None:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 class Span:
     """One timed unit of work; use as a context manager.
 
     Attributes are filled at exit: ``wall_s`` (``time.perf_counter``
-    delta) and ``cpu_s`` (``time.process_time`` delta).  ``start_s`` is
+    delta), ``cpu_s`` (``time.process_time`` delta) and
+    ``peak_rss_growth_mb``, how far the process's peak resident memory
+    (``getrusage`` ``ru_maxrss``) rose while the span was open — 0 when
+    the span stayed under an earlier high-water mark, so the span that
+    sets a process's peak memory is the one with the growth.  ``start_s`` is
     the wall-clock offset from the owning registry's creation, giving a
     deterministic-friendly ordering key without touching ``time.time``.
     ``meta`` holds arbitrary JSON-able annotations added via
@@ -36,9 +56,11 @@ class Span:
         "wall_s",
         "cpu_s",
         "start_s",
+        "peak_rss_growth_mb",
         "_registry",
         "_wall0",
         "_cpu0",
+        "_maxrss0",
         "_entered",
     )
 
@@ -49,9 +71,11 @@ class Span:
         self.wall_s: Optional[float] = None
         self.cpu_s: Optional[float] = None
         self.start_s: Optional[float] = None
+        self.peak_rss_growth_mb: Optional[float] = None
         self._registry = registry
         self._wall0 = 0.0
         self._cpu0 = 0.0
+        self._maxrss0 = 0
         self._entered = False
 
     # -- context manager ----------------------------------------------------
@@ -62,6 +86,7 @@ class Span:
         self._entered = True
         self._registry._attach(self)
         self.start_s = time.perf_counter() - self._registry._epoch
+        self._maxrss0 = _maxrss()
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
         return self
@@ -69,6 +94,7 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.wall_s = time.perf_counter() - self._wall0
         self.cpu_s = time.process_time() - self._cpu0
+        self.peak_rss_growth_mb = (_maxrss() - self._maxrss0) / _MAXRSS_PER_MB
         self._registry._detach(self)
         if exc_type is not None:
             self.meta.setdefault("error", exc_type.__name__)
@@ -97,6 +123,7 @@ class Span:
             "wall_s": self.wall_s,
             "cpu_s": self.cpu_s,
             "start_s": self.start_s,
+            "peak_rss_growth_mb": self.peak_rss_growth_mb,
         }
         if self.meta:
             out["meta"] = dict(self.meta)
@@ -124,6 +151,7 @@ class _NullSpan:
     wall_s: Optional[float] = None
     cpu_s: Optional[float] = None
     start_s: Optional[float] = None
+    peak_rss_growth_mb: Optional[float] = None
     self_wall_s: Optional[float] = None
 
     def __enter__(self) -> "_NullSpan":

@@ -106,7 +106,7 @@ class TestDeployment:
         ]
         assert rows == [
             (396, 1251, 9, 7, 109, True, False, 25, 17 / 22),
-            (444, 1390, 9, 7, 122, True, True, 25, 0.88),
+            (444, 1390, 9, 7, 122, True, True, 23, 0.88),
             (482, 1543, 10, 7, 190, True, True, 15, 30 / 37),
         ]
 
